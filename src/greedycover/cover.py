@@ -18,6 +18,10 @@ the offender), and exhaustive non-edge coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
+
+import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, non_edges
@@ -125,11 +129,8 @@ def build_theta1_cover(host: Graph, ps: ParamSet, t: int, seed: int) -> Cover:
     if ps.n != host.n:
         raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
     sets = [
-        VertexSet(
-            host.n,
-            sample_independent_set(host, ps.k, _rng.stream(seed, _rng.COVER_FLAT, r)),
-        )
-        for r in range(t)
+        VertexSet(host.n, sample_independent_set(host, ps.k, row))
+        for row in _rng.trial_rows(seed, _rng.COVER_FLAT, 0, t, ps.k)
     ]
     return Cover(sets=sets, host_n=host.n)
 
@@ -152,10 +153,8 @@ def build_theta1_adaptive(
     sets: list[VertexSet] = []
     if tracker.total == 0:
         return Cover(sets=sets, host_n=host.n), 0
-    for r in range(max_t):
-        mask = sample_independent_set(
-            host, ps.k, _rng.stream(seed, _rng.COVER_FLAT, r)
-        )
+    for row in _rng.trial_rows(seed, _rng.COVER_FLAT, 0, max_t, ps.k):
+        mask = sample_independent_set(host, ps.k, row)
         sets.append(VertexSet(host.n, mask))
         tracker.add(mask)
         if tracker.complete:
@@ -163,13 +162,12 @@ def build_theta1_adaptive(
     return Cover(sets=sets, host_n=host.n), len(sets)
 
 
-def _partition(host: Graph, ps: ParamSet, s: int, i: int, seed: int) -> list[VertexSet]:
+def _partition(host: Graph, k: int, rows: Iterable[np.ndarray]) -> list[VertexSet]:
+    """Disjointify one partition's runs, one run per row of uniforms."""
     cells = []
     union = 0
-    for j in range(s):
-        mask = sample_independent_set(
-            host, ps.k, _rng.stream(seed, _rng.COVER_PART, i * s + j)
-        )
+    for row in rows:
+        mask = sample_independent_set(host, k, row)
         cell = mask & ~union
         union |= mask
         if cell:
@@ -185,8 +183,9 @@ def build_pdim_cover(
         raise ValueError("s and t must be >= 1")
     if ps.n != host.n:
         raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    rows = _rng.trial_rows(seed, _rng.COVER_PART, 0, s * t, ps.k)
     return PartitionCover(
-        partitions=[_partition(host, ps, s, i, seed) for i in range(t)],
+        partitions=[_partition(host, ps.k, islice(rows, s)) for _ in range(t)],
         host_n=host.n,
     )
 
@@ -217,8 +216,9 @@ def build_pdim_adaptive(
     partitions: list[list[VertexSet]] = []
     if tracker.total == 0:
         return PartitionCover(partitions=partitions, host_n=host.n), 0
-    for i in range(max_t):
-        cells = _partition(host, ps, s, i, seed)
+    rows = _rng.trial_rows(seed, _rng.COVER_PART, 0, s * max_t, ps.k)
+    for _ in range(max_t):
+        cells = _partition(host, ps.k, islice(rows, s))
         partitions.append(cells)
         for cell in cells:
             tracker.add(cell.members)

@@ -78,6 +78,11 @@ class VertexSet:
         return self.size
 
 
+# Rows per step of the symmetry check in Graph.from_rows (a multiple of 8,
+# so each step's columns start on a byte of the packed rows).
+_SYMMETRY_BLOCK = 512
+
+
 class Graph:
     """Immutable simple undirected graph with bit-vector adjacency rows."""
 
@@ -93,9 +98,9 @@ class Graph:
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
         """Build from adjacency rows.  Rows must already be symmetric.
 
-        Validates self-loops and bit range; symmetry is checked cheaply by
-        total popcount parity only (full O(n^2) symmetry checks live in the
-        test suite).
+        Validates bit range, self-loops and symmetry: the unpacked bit
+        matrix is compared with its transpose, _SYMMETRY_BLOCK rows at a
+        time so memory stays bounded.
         """
         rows = tuple(rows)
         n = len(rows)
@@ -106,9 +111,17 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             total += row.bit_count()
-        if total % 2:
-            raise ValueError("adjacency rows are not symmetric")
-        return cls(n, rows, total // 2)
+        g = cls(n, rows, total // 2)
+        packed = g.packed_rows()
+        for a in range(0, n, _SYMMETRY_BLOCK):
+            b = min(a + _SYMMETRY_BLOCK, n)
+            block = np.unpackbits(packed[a:b], axis=1, count=n, bitorder="little")
+            cols = np.unpackbits(
+                packed[:, a // 8 : (b + 7) // 8], axis=1, bitorder="little"
+            )[:, : b - a]
+            if not np.array_equal(block, cols.T):
+                raise ValueError("adjacency rows are not symmetric")
+        return g
 
     @property
     def full_mask(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as _rng
 from .graph import Graph, VertexSet, complete_bipartite, is_independent, non_edges
 from .params import ParamSet, error_f, expected_degree
-from .process import sample_independent_set
+from .process import ProcessRun, sample_independent_set
 
 PAIR_SAMPLE_DEFAULT = 200
 MIN_CELL_TRIALS = 100
@@ -116,10 +116,8 @@ def _membership_chunk(
     vcount = np.zeros(n, dtype=np.int64)
     pcount = np.zeros(len(us), dtype=np.int64)
     sizes = 0
-    for t in range(start, stop):
-        mask = sample_independent_set(
-            host, k, _rng.stream(seed, _rng.MEMBERSHIP, t)
-        )
+    for row in _rng.trial_rows(seed, _rng.MEMBERSHIP, start, stop, k):
+        mask = sample_independent_set(host, k, row)
         bits = _mask_bits(mask, n)
         vcount += bits
         if len(us):
@@ -310,6 +308,18 @@ def _chain_trial_light(
     return j
 
 
+def _steps_in_envelope(prun: ProcessRun) -> int:
+    """m such that steps 1..m of the run all kept the envelope.
+
+    tau alone is ambiguous: tau == completed_steps means either a clean run
+    or a violation at the last step, so the record at step tau decides.
+    """
+    m = prun.tau
+    if m and not prun.records[m - 1].in_envelope:
+        m -= 1
+    return m
+
+
 def estimate_conditional_chain(
     host: Graph,
     ps: ParamSet,
@@ -344,22 +354,16 @@ def estimate_conditional_chain(
     survived[0] = trials
 
     if light:
-        for t in range(trials):
-            gen = _rng.stream(seed, _rng.CHAIN, t)
-            depth = _chain_trial_light(host, gen.random(j), i, j, u, v)
+        for row in _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j):
+            depth = _chain_trial_light(host, row, i, j, u, v)
             survived[1 : depth + 1] += 1
     else:
         from .process import run_with_generator
 
         for t in range(trials):
-            gen = _rng.stream(seed, _rng.CHAIN, t)
-            prun = run_with_generator(host, ps, gen)
+            prun = run_with_generator(host, ps, _rng.stream(seed, _rng.CHAIN, t))
             depth = 0
-            for step_t in range(1, j + 1):
-                if step_t > prun.completed_steps:
-                    break
-                if not all(r.in_envelope for r in prun.records[:step_t]):
-                    break
+            for step_t in range(1, min(j, _steps_in_envelope(prun)) + 1):
                 if step_t < i:
                     ok = prun.sigma[u] > step_t and prun.sigma[v] > step_t
                 elif step_t == i:
@@ -588,10 +592,8 @@ def bipartite_comparison(
 
     host = complete_bipartite(a, b)
     hits = 0
-    for t in range(trials):
-        mask = sample_independent_set(
-            host, k, _rng.stream(seed, _rng.BIPARTITE, t)
-        )
+    for row in _rng.trial_rows(seed, _rng.BIPARTITE, 0, trials, k):
+        mask = sample_independent_set(host, k, row)
         if mask & 3 == 3:  # vertices 0 and 1, both in the size-a class
             hits += 1
     est = hits / trials

@@ -267,15 +267,20 @@ def run(host: Graph, ps: ParamSet, seed: int, index: int = 0) -> ProcessRun:
     return run_with_generator(host, ps, gen, seed=seed, index=index)
 
 
-def sample_independent_set(host: Graph, k: int, gen: np.random.Generator) -> int:
+def sample_independent_set(
+    host: Graph, k: int, draws: np.ndarray | np.random.Generator
+) -> int:
     """Fast path: the final chosen set only, as a bit mask.
 
-    Consumes k uniforms up front; the choice sequence is identical to the
-    recording engine fed the same stream, because both map the t-th uniform
-    through floor(u * active_size) against the same swap-removal order.
+    `draws` is a trial's stream, or its first k uniforms (a row of
+    `rng.uniform_rows`); both give the same set.  The choice sequence is
+    identical to the recording engine fed the same stream, because both map
+    the t-th uniform through floor(u * active_size) against the same
+    swap-removal order.
     """
     n = host.n
-    draws = gen.random(k)
+    if not isinstance(draws, np.ndarray):
+        draws = draws.random(k)
     active = host.full_mask
     ids = list(range(n))
     pos = list(range(n))

@@ -25,6 +25,7 @@ from greedycover import (
     to_edge_list,
 )
 from greedycover import rng as grng
+from greedycover.graph import _SYMMETRY_BLOCK
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -90,6 +91,29 @@ class TestConstructors:
             Graph.from_rows([0b1000, 0, 0])
         with pytest.raises(ValueError, match="symmetric"):
             Graph.from_rows([0b010, 0b000, 0b000])
+
+    def test_from_rows_rejects_asymmetry_with_even_popcount(self):
+        # 0 -> 1 and 1 -> 2 without the reverse bits: two bits in total, so
+        # a parity check alone accepts these rows
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph.from_rows([0b010, 0b100, 0b000])
+
+    def test_from_rows_symmetry_across_blocks(self):
+        # asymmetry far from the diagonal on a host larger than one block
+        # of the check, and the symmetric version of the same host
+        n = 2 * _SYMMETRY_BLOCK + 5
+        g = gnp_sample(n, 0.01, 3)
+        rows = [g.row(v) for v in range(n)]
+        assert Graph.from_rows(rows) == g
+        u, v = 3, n - 2
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        assert Graph.from_rows(rows).has_edge(u, v) != g.has_edge(u, v)
+        # two one-way flips keep the total popcount even
+        rows[u] ^= 1 << v
+        rows[n - 1] ^= 1 << 7
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph.from_rows(rows)
 
     def test_gnp_extremes(self):
         g0 = gnp_sample(20, 0.0, 7)

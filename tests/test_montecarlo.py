@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -229,6 +230,26 @@ class TestConditionalChain:
         )
         assert est.freq_chain[0] is None
         assert 1 in est.insufficient
+
+    @pytest.mark.parametrize(
+        "flags,tau,expect",
+        [
+            ([], 0, 0),  # no step completed
+            ([True, True, True], 3, 3),  # no violation: tau = completed
+            ([True, True, False], 3, 2),  # violation at the last step
+            ([True, False, True, True], 2, 1),  # violation before the end
+            ([False, False], 1, 0),
+        ],
+    )
+    def test_steps_in_envelope_reads_tau(self, flags, tau, expect):
+        # tau == completed_steps is ambiguous on its own: the last record
+        # decides whether it is a violation or the end of a clean run
+        records = [SimpleNamespace(in_envelope=f) for f in flags]
+        prun = SimpleNamespace(tau=tau, completed_steps=len(flags), records=records)
+        assert mc._steps_in_envelope(prun) == expect
+        assert expect == next(
+            (s for s, r in enumerate(records) if not r.in_envelope), len(records)
+        )
 
     def test_stopping_condition_zeroes_chain(self):
         # Two disjoint cliques: step 1 always leaves a clique whose common
