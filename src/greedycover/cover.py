@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, non_edges
+from .graph import Graph, VertexSet, non_edge_count, non_edges
 from .params import ParamSet, bound_formulas
 from .process import sample_independent_set
 
@@ -90,10 +90,7 @@ class _CoverageTracker:
         self.host = host
         self.covered_with = [0] * host.n
         self.covered = 0
-        self.total = sum(
-            ((~host.row(u)) & (host.full_mask >> (u + 1) << (u + 1))).bit_count()
-            for u in range(host.n)
-        )
+        self.total = non_edge_count(host)
 
     def add(self, mask: int) -> int:
         """Mark all pairs inside `mask` covered; returns newly covered count."""

@@ -324,6 +324,11 @@ def is_independent(g: Graph, s: VertexSet) -> bool:
     return True
 
 
+def non_edge_count(g: Graph) -> int:
+    """Number of unordered non-adjacent pairs, C(n, 2) - |E|."""
+    return g.n * (g.n - 1) // 2 - g.edge_count
+
+
 def non_edges(g: Graph) -> Iterator[tuple[int, int]]:
     """Yield all unordered non-adjacent pairs (u, v), u < v."""
     for u in range(g.n - 1):

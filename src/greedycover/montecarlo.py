@@ -21,9 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, complete_bipartite, is_independent, non_edges
+from .graph import Graph, VertexSet, complete_bipartite, is_independent
+from .graph import non_edge_count, non_edges
 from .params import ParamSet, error_f, expected_degree
-from .process import ProcessRun, sample_independent_set
+from .process import ProcessRun, _mask_bits, _take, chunked_map, run_with_generator
+from .process import sample_independent_set
 
 PAIR_SAMPLE_DEFAULT = 200
 MIN_CELL_TRIALS = 100
@@ -31,26 +33,12 @@ REJECTION_CAP = 1_000_000
 ENUM_CAP = 4_000_000
 
 
-def _mask_bits(mask: int, n: int) -> np.ndarray:
-    """0/1 uint8 vector of length n for an int bit mask."""
-    w = max((n + 7) // 8, 1)
-    return np.unpackbits(
-        np.frombuffer(mask.to_bytes(w, "little"), dtype=np.uint8),
-        count=n,
-        bitorder="little",
-    )
-
-
 def sample_non_edges(host: Graph, count: int, seed: int) -> list[tuple[int, int]]:
     """Up to `count` distinct non-edges, uniform without replacement.
 
     Hosts with at most `count` non-edges contribute all of them.
     """
-    total = sum(
-        ((~host.row(u)) & (host.full_mask >> (u + 1) << (u + 1))).bit_count()
-        for u in range(host.n)
-    )
-    if total <= count:
+    if non_edge_count(host) <= count:
         return list(non_edges(host))
     gen = _rng.stream(seed, _rng.PAIRS)
     picked: set[tuple[int, int]] = set()
@@ -126,10 +114,6 @@ def _membership_chunk(
     return vcount, pcount, sizes
 
 
-def _membership_chunk_star(args: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    return _membership_chunk(*args)
-
-
 _MEMBERSHIP_CHUNK = 4096
 
 
@@ -155,22 +139,8 @@ def estimate_membership(
     us = np.array([u for u, _ in pairs], dtype=np.intp)
     vs = np.array([v for _, v in pairs], dtype=np.intp)
 
-    bounds = [
-        (s, min(s + _MEMBERSHIP_CHUNK, trials))
-        for s in range(0, trials, _MEMBERSHIP_CHUNK)
-    ]
-    if threads > 1 and len(bounds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    _membership_chunk_star,
-                    [(host, ps.k, seed, us, vs, a, b) for a, b in bounds],
-                )
-            )
-    else:
-        parts = [_membership_chunk(host, ps.k, seed, us, vs, a, b) for a, b in bounds]
+    args = (host, ps.k, seed, us, vs)
+    parts = chunked_map(_membership_chunk, args, trials, _MEMBERSHIP_CHUNK, threads)
 
     vcount = np.zeros(host.n, dtype=np.int64)
     pcount = np.zeros(len(pairs), dtype=np.int64)
@@ -272,27 +242,14 @@ def _chain_trial_light(
     host: Graph, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
     """Steps survived by the viability chain in one trial (0..j)."""
-    n = host.n
     active = host.full_mask
-    ids = list(range(n))
-    pos = list(range(n))
+    ids = list(range(host.n))
+    pos = list(range(host.n))
     for t in range(1, j + 1):
-        na = len(ids)
-        if na == 0:
+        if not ids:
             return t - 1
-        w = ids[min(int(draws[t - 1] * na), na - 1)]
-        rm = (host.row(w) | (1 << w)) & active
-        active &= ~rm
-        while rm:
-            low = rm & -rm
-            x = low.bit_length() - 1
-            rm ^= low
-            q = pos[x]
-            last = ids[-1]
-            ids[q] = last
-            pos[last] = q
-            ids.pop()
-            pos[x] = -1
+        w, removed = _take(host, ids, pos, active, draws[t - 1])
+        active &= ~removed
         if t < i:
             if pos[u] < 0 or pos[v] < 0:
                 return t - 1
@@ -358,8 +315,6 @@ def estimate_conditional_chain(
             depth = _chain_trial_light(host, row, i, j, u, v)
             survived[1 : depth + 1] += 1
     else:
-        from .process import run_with_generator
-
         for t in range(trials):
             prun = run_with_generator(host, ps, _rng.stream(seed, _rng.CHAIN, t))
             depth = 0

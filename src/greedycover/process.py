@@ -2,18 +2,21 @@
 
 One step: draw a vertex uniformly from the active set (the common
 non-neighbourhood of everything chosen so far), add it to the chosen set,
-and remove its closed neighbourhood from the active set.  The engine keeps
-the active set three ways at once - a bit-vector for set algebra, a dense
-id array with swap-removal for O(1) uniform draws, and a numpy degree vector
-updated incrementally - so a step costs O(|removed| * n / 64) instead of a
-recomputation from scratch.
+and remove its closed neighbourhood from the active set.  That step lives in
+one function, `_take`, which keeps the active vertices in a dense id list
+with swap-removal for O(1) uniform draws; the light kernels (final set only)
+and the recording engine both call it, so fed the same uniforms they make
+the same choices.  The recording engine also keeps the active set as a
+bit-vector and a numpy degree vector updated incrementally, so a step costs
+O(|removed| * n / 64) instead of a recomputation from scratch.
 
 `run` records one trajectory against the analytics envelope;
 `increment_diagnostics` additionally tracks the shifted degree deviations
 X^-, X^+ of chosen vertices with the stopping-time freezing rule;
 `ensemble_run` aggregates many runs.  All of it is deterministic in
 (host, params, seed): trial t consumes the Philox stream keyed
-(seed, RUN domain, t) and nothing else.
+(seed, RUN domain, t) and nothing else.  `chunked_map` is the one place
+that honours a thread count: fixed trial chunks, results in chunk order.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class ProcessState:
         self.degrees = np.array(host.degrees(), dtype=np.int64)
         self.chosen_list: list[int] = []
         self.chosen_mask = 0
-        self.sigma_raw = [0] * n  # step at which v left active; 0 = still in
+        self.sigma_raw = np.zeros(n, dtype=np.int64)  # step v left active; 0 = still in
         self._act_words = max((n + 7) // 8, 1)
 
     @property
@@ -112,50 +115,67 @@ def init(host: Graph, ps: ParamSet) -> ProcessState:
     return ProcessState(host, ps)
 
 
-def step(state: ProcessState, gen: np.random.Generator) -> StepRecord | None:
-    """Perform one step; None signals natural exhaustion (empty active set)."""
-    na = len(state.ids)
-    if na == 0:
-        return None
-    host = state.host
-    n = host.n
-    u = gen.random()
-    v = state.ids[min(int(u * na), na - 1)]
-    i = state.step + 1
+def _mask_bits(mask: int, n: int) -> np.ndarray:
+    """0/1 uint8 vector of length n for an int bit mask."""
+    w = max((n + 7) // 8, 1)
+    return np.unpackbits(
+        np.frombuffer(mask.to_bytes(w, "little"), dtype=np.uint8),
+        count=n,
+        bitorder="little",
+    )
 
-    rm_mask = (host.row(v) | (1 << v)) & state.active_mask
-    new_active = state.active_mask & ~rm_mask
 
-    removed = []
-    m = rm_mask
-    ids, pos = state.ids, state.pos
+def _take(
+    host: Graph, ids: list[int], pos: list[int], active: int, u: float
+) -> tuple[int, int]:
+    """One greedy step: pick ids[floor(u * len(ids))], drop its closed neighbourhood.
+
+    `ids` lists the active vertices (`active` as a bit mask) and pos[w] is
+    w's index in it, -1 once w has left; both are updated by swap-removal.
+    Returns the picked vertex and the mask of vertices that left.  The
+    caller checks that `ids` is non-empty and clears the mask from `active`.
+    """
+    na = len(ids)
+    v = ids[min(int(u * na), na - 1)]
+    removed = (host.row(v) | (1 << v)) & active
+    m = removed
     while m:
         low = m & -m
         w = low.bit_length() - 1
         m ^= low
-        removed.append(w)
-        state.sigma_raw[w] = i
         j = pos[w]
         last = ids[-1]
         ids[j] = last
         pos[last] = j
         ids.pop()
         pos[w] = -1
+    return v, removed
 
-    state.active_mask = new_active
+
+def step(state: ProcessState, gen: np.random.Generator) -> StepRecord | None:
+    """Perform one step; None signals natural exhaustion (empty active set)."""
+    if not state.ids:
+        return None
+    host = state.host
+    v, rm_mask = _take(host, state.ids, state.pos, state.active_mask, gen.random())
+    i = state.step + 1
+    state.active_mask &= ~rm_mask
     state.chosen_list.append(v)
     state.chosen_mask |= 1 << v
     state.step = i
+    # as indices: gathering packed rows by index is cheaper than by boolean mask
+    removed = np.flatnonzero(_mask_bits(rm_mask, host.n))
+    state.sigma_raw[removed] = i
 
     # degrees[w] -= |N(w) ∩ removed| for surviving w, computed as the column
     # sums of the removed rows restricted to the new active set
-    if new_active and removed:
+    if state.active_mask:
         act = np.frombuffer(
-            new_active.to_bytes(state._act_words, "little"), dtype=np.uint8
+            state.active_mask.to_bytes(state._act_words, "little"), dtype=np.uint8
         )
-        rows = host.packed_rows()[np.array(removed, dtype=np.intp)] & act
+        rows = host.packed_rows()[removed] & act
         state.degrees -= np.unpackbits(
-            rows, axis=1, count=n, bitorder="little"
+            rows, axis=1, count=host.n, bitorder="little"
         ).sum(axis=0, dtype=np.int64)
 
     if state.ids:
@@ -236,23 +256,25 @@ def run_with_generator(
         if rec is None:
             break
         records.append(rec)
+    return _finish(state, records, seed, index)
+
+
+def _finish(
+    state: ProcessState, records: list[StepRecord], seed: int, index: int
+) -> ProcessRun:
+    """The ProcessRun of a stopped process; the one place tau and sigma are set."""
     completed = state.step
-    tau = completed
-    for rec in records:
-        if not rec.in_envelope:
-            tau = rec.i
-            break
-    sigma = [s if s else completed + 1 for s in state.sigma_raw]
+    tau = next((r.i for r in records if not r.in_envelope), completed)
     return ProcessRun(
-        n=host.n,
-        ps=ps,
+        n=state.host.n,
+        ps=state.ps,
         seed=seed,
         index=index,
-        chosen=VertexSet(host.n, state.chosen_mask),
+        chosen=VertexSet(state.host.n, state.chosen_mask),
         order=tuple(state.chosen_list),
         records=records,
         tau=tau,
-        sigma=sigma,
+        sigma=np.where(state.sigma_raw, state.sigma_raw, completed + 1).tolist(),
         completed_steps=completed,
     )
 
@@ -278,31 +300,19 @@ def sample_independent_set(
     the t-th uniform through floor(u * active_size) against the same
     swap-removal order.
     """
-    n = host.n
     if not isinstance(draws, np.ndarray):
         draws = draws.random(k)
+    n = host.n
     active = host.full_mask
     ids = list(range(n))
     pos = list(range(n))
     chosen = 0
     for t in range(k):
-        na = len(ids)
-        if na == 0:
+        if not ids:
             break
-        v = ids[min(int(draws[t] * na), na - 1)]
+        v, removed = _take(host, ids, pos, active, draws[t])
         chosen |= 1 << v
-        m = (host.row(v) | (1 << v)) & active
-        active &= ~m
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            j = pos[w]
-            last = ids[-1]
-            ids[j] = last
-            pos[last] = j
-            ids.pop()
-            pos[w] = -1
+        active &= ~removed
     return chosen
 
 
@@ -453,29 +463,12 @@ def increment_diagnostics(
                     rho[ti] = i
 
     completed = state.step
-    tau = completed
-    for rec in records:
-        if not rec.in_envelope:
-            tau = rec.i
-            break
     for ti in range(nt):
         # never frozen: v survived every step and no violation, so
         # min(tau, sigma_v - 1) = min(completed, completed) = completed
         if rho[ti] < 0:
             rho[ti] = completed
-    sigma = [s if s else completed + 1 for s in state.sigma_raw]
-    prun = ProcessRun(
-        n=host.n,
-        ps=ps,
-        seed=seed,
-        index=index,
-        chosen=VertexSet(host.n, state.chosen_mask),
-        order=tuple(state.chosen_list),
-        records=records,
-        tau=tau,
-        sigma=sigma,
-        completed_steps=completed,
-    )
+    prun = _finish(state, records, seed, index)
 
     dx_minus = dx_minus[:, :completed]
     dx_plus = dx_plus[:, :completed]
@@ -556,6 +549,22 @@ class EnsembleSummary:
         }
 
 
+def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
+    """[fn(*args, start, stop)] over fixed chunks of range(trials), in chunk order.
+
+    The chunks depend only on `trials` and `chunk`, so a reduction over the
+    results in list order gives the same bytes at any `threads`; with more
+    than one thread and more than one chunk they run in a process pool.
+    """
+    jobs = [(*args, s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+    if threads > 1 and len(jobs) > 1:
+        from concurrent import futures
+
+        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
 _CHUNK = 32
 
 
@@ -631,19 +640,8 @@ def ensemble_run(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tracked = tuple(tracked)
-    bounds = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    _ensemble_chunk_star,
-                    [(host, ps, seed, tracked, a, b) for a, b in bounds],
-                )
-            )
-    else:
-        parts = [_ensemble_chunk(host, ps, seed, tracked, a, b) for a, b in bounds]
+    args = (host, ps, seed, tracked)
+    parts = chunked_map(_ensemble_chunk, args, trials, _CHUNK, threads)
 
     k = ps.k
     completed: list[int] = []
@@ -703,7 +701,3 @@ def ensemble_run(
         dx_plus_se=dp_se,
         dx_count=dn,
     )
-
-
-def _ensemble_chunk_star(args: tuple) -> dict:
-    return _ensemble_chunk(*args)

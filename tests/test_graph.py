@@ -25,7 +25,7 @@ from greedycover import (
     to_edge_list,
 )
 from greedycover import rng as grng
-from greedycover.graph import _SYMMETRY_BLOCK
+from greedycover.graph import _SYMMETRY_BLOCK, non_edge_count
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -267,6 +267,25 @@ class TestOperators:
 
     def test_non_edges_complete_graph_empty(self):
         assert list(non_edges(gnp_sample(10, 1.0, 0))) == []
+
+    def test_non_edge_count_matches_enumeration(self):
+        import pickle
+
+        hosts = [
+            Graph.from_rows([]),
+            Graph.from_rows([0]),
+            Graph.from_rows([0] * 9),
+            gnp_sample(10, 1.0, 0),
+            complete_bipartite(3, 5),
+            complete_bipartite(1, 7),
+            complete_bipartite(0, 4),
+            gnp_sample(40, 0.2, 1),
+            gnp_sample(33, 0.5, 2),
+            gnp_sample(17, 0.9, 3),
+            pickle.loads(pickle.dumps(gnp_sample(29, 0.3, 4))),
+        ]
+        for g in hosts:
+            assert non_edge_count(g) == len(list(non_edges(g)))
 
 
 class TestPackedRows:

@@ -219,14 +219,29 @@ class TestRunContract:
 
 class TestLightRunner:
     def test_matches_recording_engine(self):
-        for n, p, seed in [(60, 0.2, 0), (60, 0.2, 5), (120, 0.1, 2), (35, 0.4, 7)]:
-            host = gnp_sample(n, p, seed=seed)
-            ps = ParamSet(n, p)
+        cases = [
+            (gnp_sample(n, p, seed=seed), ParamSet(n, p), seed, False)
+            for n, p, seed in [(60, 0.2, 0), (60, 0.2, 5), (120, 0.1, 2), (35, 0.4, 7)]
+        ]
+        # hosts on which the active set runs out before k steps
+        complete = Graph.from_rows([((1 << 12) - 1) ^ (1 << v) for v in range(12)])
+        star = Graph.from_rows([(1 << 20) - 2] + [1] * 19)  # at most 19 steps
+        k35 = complete_bipartite(3, 5)  # at most 5 steps
+        for seed in range(4):
+            cases += [
+                (complete, ParamSet(12, 0.5, k_coef=2.0), seed, True),  # k = 7
+                (star, ParamSet(20, 0.1, k_coef=3.0), seed, True),  # k = 20
+                (k35, ParamSet(8, 0.5, k_coef=3.0), seed, True),  # k = 8
+            ]
+        for host, ps, seed, exhausts in cases:
             full = run(host, ps, seed=seed + 50)
             light = sample_independent_set(
                 host, ps.k, rng.stream(seed + 50, rng.RUN, 0)
             )
             assert light == full.chosen.members
+            if exhausts:
+                assert full.completed_steps < ps.k
+                assert full.records[-1].active_size == 0
 
     def test_independent_output(self):
         host = gnp_sample(60, 0.2, seed=1)
