@@ -271,7 +271,7 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
             parser.error("--t applies to fixed modes; use --max-t with adaptive")
     if needs_host and cfg.input is None and cfg.p is None:
         parser.error("generating a host requires --p")
-    for name in ("trials", "budget", "t", "s", "max_t", "k", "threads"):
+    for name in ("trials", "budget", "t", "s", "max_t", "max_size", "k", "threads"):
         val = getattr(cfg, name)
         if val is not None and val < 1:
             parser.error(f"--{name.replace('_', '-')} must be >= 1")

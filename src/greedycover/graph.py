@@ -7,8 +7,8 @@ packed uint8 mirror of the rows is cached lazily for the numpy-vectorized
 paths (codegree scans, degree bookkeeping in the process engine).
 
 Graphs are immutable once constructed.  Construct them through
-`gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`
-(which validates symmetry is the caller's responsibility only for the last).
+`gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
+which validates rows given by the caller (bit range, self-loops, symmetry).
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
-        """Build from adjacency rows.  Rows must already be symmetric.
+        """Build from adjacency rows, which need not be known symmetric.
 
-        Validates bit range, self-loops and symmetry: the unpacked bit
-        matrix is compared with its transpose, _SYMMETRY_BLOCK rows at a
-        time so memory stays bounded.
+        Raises ValueError on bits out of range, self-loops or asymmetry; the
+        unpacked bit matrix is compared with its transpose, _SYMMETRY_BLOCK
+        rows at a time so memory stays bounded.
         """
         rows = tuple(rows)
         n = len(rows)

@@ -362,38 +362,21 @@ def _complement_clique_parts(host: Graph) -> list[list[int]] | None:
     """Vertex classes if the complement is a disjoint union of cliques.
 
     Such hosts are exactly the complete multipartite graphs, where an
-    independent set is any subset of a single class.
+    independent set is any subset of a single class.  The class of v is
+    full & ~row(v), v included; non-adjacency is an equivalence relation
+    iff every member of each class has that same class, i.e. v's row.
     """
-    n = host.n
     seen = 0
     parts = []
-    for v in range(n):
+    for v in range(host.n):
         if seen >> v & 1:
             continue
-        # component of v in the complement, grown by closure
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                nxt |= (~host.row(w)) & host.full_mask & ~(1 << w)
-            frontier = nxt & ~comp
-            comp |= frontier
-        # the component must be a clique in the complement: every member
-        # non-adjacent (in host) to every other member
-        mm = comp
-        while mm:
-            low = mm & -mm
-            w = low.bit_length() - 1
-            mm ^= low
-            if host.row(w) & comp:
-                return None
-        seen |= comp
-        parts.append(VertexSet(n, comp).to_list())
+        part = host.full_mask & ~host.row(v)
+        members = VertexSet(host.n, part).to_list()
+        if any(host.row(w) != host.row(v) for w in members):
+            return None
+        seen |= part
+        parts.append(members)
     return parts
 
 

@@ -10,9 +10,10 @@ the same choices.  The recording engine also keeps the active set as a
 bit-vector and a numpy degree vector updated incrementally, so a step costs
 O(|removed| * n / 64) instead of a recomputation from scratch.
 
-`run` records one trajectory against the analytics envelope;
-`increment_diagnostics` additionally tracks the shifted degree deviations
-X^-, X^+ of chosen vertices with the stopping-time freezing rule;
+`run_with_generator` holds the one step loop: `run` records one trajectory
+against the analytics envelope, and `increment_diagnostics` derives the
+shifted degree deviations X^-, X^+ of tracked vertices, stopped at
+rho_v = min(tau, sigma_v - 1), from that record with array operations;
 `ensemble_run` aggregates many runs.  All of it is deterministic in
 (host, params, seed): trial t consumes the Philox stream keyed
 (seed, RUN domain, t) and nothing else.  `chunked_map` is the one place
@@ -22,7 +23,7 @@ that honours a thread count: fixed trial chunks, results in chunk order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -256,21 +257,14 @@ def run_with_generator(
         if rec is None:
             break
         records.append(rec)
-    return _finish(state, records, seed, index)
-
-
-def _finish(
-    state: ProcessState, records: list[StepRecord], seed: int, index: int
-) -> ProcessRun:
-    """The ProcessRun of a stopped process; the one place tau and sigma are set."""
     completed = state.step
     tau = next((r.i for r in records if not r.in_envelope), completed)
     return ProcessRun(
-        n=state.host.n,
-        ps=state.ps,
+        n=host.n,
+        ps=ps,
         seed=seed,
         index=index,
-        chosen=VertexSet(state.host.n, state.chosen_mask),
+        chosen=VertexSet(host.n, state.chosen_mask),
         order=tuple(state.chosen_list),
         records=records,
         tau=tau,
@@ -321,11 +315,12 @@ class IncrementStats:
     """Per-step increments of the shifted degree deviations of tracked vertices.
 
     For a tracked vertex v, X^-(v, i) = d_i(v) - d_tilde_i - f_i * d_tilde_i
-    and X^+(v, i) = d_i(v) - d_tilde_i + f_i * d_tilde_i, frozen after
-    rho_v = min(tau, sigma_v - 1); frozen steps contribute increment 0.
+    and X^+(v, i) = d_i(v) - d_tilde_i + f_i * d_tilde_i, stopped at
+    rho_v = min(tau, sigma_v - 1): steps after rho_v contribute increment 0.
+    Every field is derived from the recorded `run` once it has stopped.
     dx arrays have shape (len(tracked), completed_steps).  max/mean aggregate
-    both signs; the mean counts live increments only (frozen zeros are
-    bookkeeping, not samples).  bound_mean[i-1] = 3 * p * d_tilde_{i-1} is
+    both signs; the mean counts `live` increments only (the zeros after rho
+    are bookkeeping, not samples).  bound_mean[i-1] = 3 * p * d_tilde_{i-1} is
     the statistical per-step bound on E|dX|; bound_abs = 6 p^2 n + 2^7 log n
     is the hard cap valid where the envelope-drift term stays within slack.
     """
@@ -344,6 +339,12 @@ class IncrementStats:
     run: ProcessRun
     m_vj: np.ndarray | None = None
     q_vj: np.ndarray | None = None
+
+    @property
+    def live(self) -> np.ndarray:
+        """Entry (t, i-1) is live iff step i <= rho of tracked vertex t."""
+        rho = np.array(self.rho, dtype=np.int64)
+        return np.arange(self.completed_steps) < rho[:, None]
 
     def to_dict(self) -> dict:
         out = {
@@ -370,6 +371,18 @@ def increment_bound(ps: ParamSet) -> float:
     return 6.0 * ps.p**2 * ps.n + 128.0 * ps.log_n
 
 
+def _survivors(
+    group: np.ndarray, left: np.ndarray, groups: int, steps: int
+) -> np.ndarray:
+    """c[g, i] = #{items of group g with left > i} for i = 0..steps, exactly.
+
+    `left` is a step of departure in 1..steps + 1 (a sigma value).
+    """
+    w = steps + 2
+    hist = np.bincount(group * w + left, minlength=groups * w).reshape(groups, w)
+    return hist.sum(axis=1, keepdims=True) - np.cumsum(hist, axis=1)[:, : steps + 1]
+
+
 def increment_diagnostics(
     host: Graph,
     ps: ParamSet,
@@ -378,12 +391,14 @@ def increment_diagnostics(
     index: int = 0,
     collect_mq: bool = False,
 ) -> IncrementStats:
-    """Run once, tracking X^-/X^+ increments of `tracked` vertices.
+    """Run once, then derive the X^-/X^+ increments of `tracked` vertices.
 
-    With collect_mq, also records for each tracked v and step j (0-based,
-    state before step j+1): m_vj = sum of codegrees d_j(u, v) over active u
-    outside v's closed neighbourhood, and q_vj = 1 - (d_j(v) + 1) / |V_j|,
-    both exact; entries after v leaves (or the process stops) are NaN.
+    The run's sigma gives every degree: d_i(v) = #{w in N(v) : sigma_w > i}.
+    With collect_mq, also gives for each tracked v and step j (0-based,
+    state before step j+1, active set {w : sigma_w > j}): m_vj = sum of
+    codegrees d_j(u, v) over active u outside v's closed neighbourhood, and
+    q_vj = 1 - (d_j(v) + 1) / |V_j|, both exact; entries after v leaves
+    are NaN.
     """
     if ps.n != host.n:
         raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
@@ -394,107 +409,66 @@ def increment_diagnostics(
         if not 0 <= v < host.n:
             raise ValueError(f"tracked vertex {v} out of range")
 
-    gen = _rng.stream(seed, _rng.RUN, index)
-    state = init(host, ps)
+    prun = run(host, ps, seed, index)
+    completed = prun.completed_steps
+    sigma = np.array(prun.sigma, dtype=np.int64)
+    tv = np.array(tracked, dtype=np.int64)
     nt = len(tracked)
-    k = ps.k
+    nbr = np.unpackbits(
+        host.packed_rows()[tv], axis=1, count=host.n, bitorder="little"
+    ).astype(bool)
+    t_of, w_of = np.nonzero(nbr)  # tracked index and neighbour of each edge
+    d = _survivors(t_of, sigma[w_of], nt, completed)  # d[:, i] = d_i(v)
 
-    dx_minus = np.zeros((nt, k))
-    dx_plus = np.zeros((nt, k))
-    mq_m = np.full((nt, k), np.nan) if collect_mq else None
-    mq_q = np.full((nt, k), np.nan) if collect_mq else None
+    d_tilde = np.array([expected_degree(ps, 0)] + [r.d_tilde for r in prun.records])
+    f = np.array([error_f(ps, 0)] + [r.f_i for r in prun.records])
+    x_minus = (d - d_tilde) - f * d_tilde
+    x_plus = (d - d_tilde) + f * d_tilde
 
-    d0 = expected_degree(ps, 0)
-    f0 = error_f(ps, 0)
-    x_minus = np.array([host.degree(v) - d0 - f0 * d0 for v in tracked])
-    x_plus = np.array([host.degree(v) - d0 + f0 * d0 for v in tracked])
-    x0_minus = x_minus.copy()
-    x0_plus = x_plus.copy()
-    frozen = [False] * nt
-    rho = [-1] * nt
-    records: list[StepRecord] = []
-    tau_seen = False
+    m_vj = q_vj = None
+    if collect_mq:
+        # paths v - w - u with w in N(v), u outside N[v]; the pair counts
+        # toward m_vj while both w and u are active
+        closed = nbr.copy()
+        closed[np.arange(nt), tv] = True
+        far = np.unpackbits(
+            host.packed_rows()[w_of], axis=1, count=host.n, bitorder="little"
+        ).astype(bool) & ~closed[t_of]
+        e_of, u_of = np.nonzero(far)
+        both = np.minimum(sigma[w_of[e_of]], sigma[u_of])
+        m = _survivors(t_of[e_of], both, nt, completed)[:, :completed]
+        size = _survivors(np.zeros(host.n, dtype=np.int64), sigma, 1, completed)
+        q = 1.0 - (d[:, :completed] + 1) / size[:, :completed]
+        active = np.arange(completed) < sigma[tv][:, None]
+        m_vj = np.where(active, m, np.nan)
+        q_vj = np.where(active, q, np.nan)
 
-    for _ in range(k):
-        if collect_mq and state.ids:
-            j = state.step
-            nv = len(state.ids)
-            for ti, v in enumerate(tracked):
-                if state.pos[v] < 0:
-                    continue
-                closed = host.row(v) | (1 << v)
-                outside = state.active_mask & ~closed
-                row_v = host.row(v)
-                total = 0
-                mm = outside
-                while mm:
-                    low = mm & -mm
-                    u = low.bit_length() - 1
-                    mm ^= low
-                    total += (host.row(u) & row_v & state.active_mask).bit_count()
-                mq_m[ti, j] = total
-                mq_q[ti, j] = 1.0 - (int(state.degrees[v]) + 1) / nv
-
-        rec = step(state, gen)
-        if rec is None:
-            break
-        records.append(rec)
-        i = rec.i
-        col = i - 1
-        for ti, v in enumerate(tracked):
-            if frozen[ti]:
-                continue
-            if state.sigma_raw[v] == i:
-                frozen[ti] = True
-                rho[ti] = i - 1
-                continue
-            d = float(state.degrees[v])
-            xm = d - rec.d_tilde - rec.f_i * rec.d_tilde
-            xp = d - rec.d_tilde + rec.f_i * rec.d_tilde
-            dx_minus[ti, col] = xm - x_minus[ti]
-            dx_plus[ti, col] = xp - x_plus[ti]
-            x_minus[ti] = xm
-            x_plus[ti] = xp
-        if not rec.in_envelope and not tau_seen:
-            tau_seen = True
-            for ti in range(nt):
-                if not frozen[ti]:
-                    frozen[ti] = True
-                    rho[ti] = i
-
-    completed = state.step
-    for ti in range(nt):
-        # never frozen: v survived every step and no violation, so
-        # min(tau, sigma_v - 1) = min(completed, completed) = completed
-        if rho[ti] < 0:
-            rho[ti] = completed
-    prun = _finish(state, records, seed, index)
-
-    dx_minus = dx_minus[:, :completed]
-    dx_plus = dx_plus[:, :completed]
-    live = np.zeros((nt, completed), dtype=bool)
-    for ti in range(nt):
-        live[ti, : min(rho[ti], completed)] = True
-    abs_all = np.concatenate([np.abs(dx_minus)[live], np.abs(dx_plus)[live]])
-    bound_mean = np.array(
-        [3.0 * ps.p * expected_degree(ps, i - 1) for i in range(1, completed + 1)]
-    )
-    return IncrementStats(
+    stats = IncrementStats(
         tracked=tracked,
         completed_steps=completed,
-        dx_minus=dx_minus,
-        dx_plus=dx_plus,
-        x0_minus=x0_minus,
-        x0_plus=x0_plus,
-        rho=rho,
-        max_abs_increment=float(abs_all.max()) if abs_all.size else 0.0,
-        mean_abs_increment=float(abs_all.mean()) if abs_all.size else 0.0,
+        dx_minus=np.diff(x_minus, axis=1),
+        dx_plus=np.diff(x_plus, axis=1),
+        x0_minus=x_minus[:, 0],
+        x0_plus=x_plus[:, 0],
+        rho=np.minimum(prun.tau, sigma[tv] - 1).tolist(),
+        max_abs_increment=0.0,
+        mean_abs_increment=0.0,
         bound_abs=increment_bound(ps),
-        bound_mean=bound_mean,
+        bound_mean=np.array(
+            [3.0 * ps.p * expected_degree(ps, i - 1) for i in range(1, completed + 1)]
+        ),
         run=prun,
-        m_vj=mq_m[:, :completed] if collect_mq else None,
-        q_vj=mq_q[:, :completed] if collect_mq else None,
+        m_vj=m_vj,
+        q_vj=q_vj,
     )
+    live = stats.live
+    stats.dx_minus[~live] = 0.0
+    stats.dx_plus[~live] = 0.0
+    abs_all = np.abs(np.concatenate([stats.dx_minus[live], stats.dx_plus[live]]))
+    if abs_all.size:
+        stats.max_abs_increment = float(abs_all.max())
+        stats.mean_abs_increment = float(abs_all.mean())
+    return stats
 
 
 @dataclass
@@ -592,21 +566,16 @@ def _ensemble_chunk(
         "dn": 0,
     }
     for t in range(start, stop):
-        if tracked:
-            stats = increment_diagnostics(host, ps, tracked, seed, index=t)
-            prun = stats.run
-            live = np.zeros_like(stats.dx_minus, dtype=bool)
-            for ti in range(len(tracked)):
-                live[ti, : min(stats.rho[ti], stats.completed_steps)] = True
-            dm = stats.dx_minus[live]
-            dp = stats.dx_plus[live]
-            out["dm_sum"] += float(dm.sum())
-            out["dm_sq"] += float((dm * dm).sum())
-            out["dp_sum"] += float(dp.sum())
-            out["dp_sq"] += float((dp * dp).sum())
-            out["dn"] += int(dm.size)
-        else:
-            prun = run(host, ps, seed, index=t)
+        stats = increment_diagnostics(host, ps, tracked, seed, index=t)
+        prun = stats.run
+        live = stats.live
+        dm = stats.dx_minus[live]
+        dp = stats.dx_plus[live]
+        out["dm_sum"] += float(dm.sum())
+        out["dm_sq"] += float((dm * dm).sum())
+        out["dp_sum"] += float(dp.sum())
+        out["dp_sq"] += float((dp * dp).sum())
+        out["dn"] += int(dm.size)
         if any(not r.in_envelope for r in prun.records):
             out["violations"] += 1
         out["completed"].append(prun.completed_steps)

@@ -83,6 +83,8 @@ class TestParse:
             ["run", "--n", "50", "--p", "0.2", "--trials", "0"],
             ["typical", "--n", "50", "--p", "0.2", "--strict-factor", "2.0"],
             ["bounds", "--p", "0.05"],  # missing --n
+            ["typical", "--n", "50", "--p", "0.2", "--max-size", "0"],
+            ["typical", "--n", "50", "--p", "0.2", "--max-size", "-3"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -372,6 +373,55 @@ class TestUniformIndependentSet:
         c = uniform_independent_set(host, 5, seed=3, index=0)
         assert a == c
         assert a != b
+
+
+def _non_adjacency_classes(host):
+    """Oracle: the classes of u ~ v iff u == v or uv is not an edge, when
+    that relation is an equivalence relation (checked over all triples);
+    None otherwise."""
+    n = host.n
+    same = [[u == v or not host.has_edge(u, v) for v in range(n)] for u in range(n)]
+    for u, v, w in itertools.product(range(n), repeat=3):
+        if same[u][v] and same[v][w] and not same[u][w]:
+            return None
+    parts = []
+    for v in range(n):
+        if not any(v in part for part in parts):
+            parts.append([w for w in range(n) if same[v][w]])
+    return parts
+
+
+def _graph_from(n, adjacent):
+    return Graph.from_rows(
+        [sum(1 << w for w in range(n) if w != v and adjacent(v, w)) for v in range(n)]
+    )
+
+
+class TestComplementCliqueParts:
+    def test_matches_equivalence_oracle(self):
+        # three families on n <= 12: G(n, p); complete multipartite hosts
+        # with shuffled class labels; those hosts with one pair toggled
+        hosts = []
+        for t in range(150):
+            r = random.Random(t)
+            n = r.randint(1, 12)
+            hosts.append(gnp_sample(n, r.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed=t))
+            label = [r.randrange(r.randint(1, n)) for _ in range(n)]
+            multi = _graph_from(n, lambda v, w: label[v] != label[w])
+            hosts.append(multi)
+            if n >= 2:
+                a, b = r.sample(range(n), 2)
+                hosts.append(
+                    _graph_from(
+                        n, lambda v, w: multi.has_edge(v, w) != ({v, w} == {a, b})
+                    )
+                )
+        found = 0
+        for host in hosts:
+            want = _non_adjacency_classes(host)
+            assert mc._complement_clique_parts(host) == want
+            found += want is not None
+        assert 0 < found < len(hosts)
 
 
 class TestBipartiteComparison:

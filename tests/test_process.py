@@ -324,47 +324,72 @@ class TestIncrements:
         assert stats.run.sigma == plain.sigma
 
     def test_x_update_matches_degree_definition(self):
-        host = gnp_sample(60, 0.25, seed=14)
-        ps = ParamSet(60, 0.25)
-        tracked = [v for v in range(60)]
-        stats = increment_diagnostics(host, ps, tracked, seed=21)
-        snaps = replay(host, stats.run.order)
-        for ti, v in enumerate(tracked):
-            x_m = host.degree(v) - expected_degree(ps, 0) * (1 + error_f(ps, 0))
-            assert abs(stats.x0_minus[ti] - x_m) < TOL
-            live = stats.rho[ti]
-            for i in range(1, live + 1):
-                act, degs = snaps[i - 1]
-                if v not in act:
-                    break
-                dt, f = expected_degree(ps, i), error_f(ps, i)
-                x_new = degs[v] - dt - f * dt
-                x_m += stats.dx_minus[ti, i - 1]
-                assert abs(x_m - x_new) < TOL
+        # a G(n, p) host; two cliques, which violate at step 1; K_{3,5} with
+        # k above the 5 steps it can take; the empty graph.  On two_cliques(80)
+        # the survivors' X^- after step 1 rounds differently if computed as
+        # d - (dt + f * dt), so the float order is pinned too.
+        cases = [
+            (gnp_sample(60, 0.25, seed=14), ParamSet(60, 0.25), 21),
+            (two_cliques(100), ParamSet(200, 0.02), 3),
+            (two_cliques(80), ParamSet(160, 0.02), 3),
+            (complete_bipartite(3, 5), ParamSet(8, 0.5, k_coef=3.0), 1),
+            (empty_graph(40), ParamSet(40, 0.2), 6),
+        ]
+        for host, ps, seed in cases:
+            tracked = list(range(host.n))
+            stats = increment_diagnostics(host, ps, tracked, seed=seed)
+            snaps = replay(host, stats.run.order)
+            d0, f0 = expected_degree(ps, 0), error_f(ps, 0)
+            for ti, v in enumerate(tracked):
+                # x recomputed from the snapshots in the engine's float order
+                x_m = host.degree(v) - d0 - f0 * d0
+                x_p = host.degree(v) - d0 + f0 * d0
+                assert stats.x0_minus[ti] == x_m
+                assert stats.x0_plus[ti] == x_p
+                rho = stats.rho[ti]
+                for i in range(1, rho + 1):
+                    _, degs = snaps[i - 1]
+                    dt, f = expected_degree(ps, i), error_f(ps, i)
+                    new_m = degs[v] - dt - f * dt
+                    new_p = degs[v] - dt + f * dt
+                    assert stats.dx_minus[ti, i - 1] == new_m - x_m
+                    assert stats.dx_plus[ti, i - 1] == new_p - x_p
+                    x_m, x_p = new_m, new_p
+                assert np.all(stats.dx_minus[ti, rho:] == 0.0)
+                assert np.all(stats.dx_plus[ti, rho:] == 0.0)
+        # the cases reach what they are here for
+        for host, ps, seed in cases[1:3]:
+            assert increment_diagnostics(host, ps, [0], seed=seed).run.tau == 1
+        k35 = increment_diagnostics(*cases[3][:2], [0], seed=1)
+        assert k35.completed_steps < cases[3][1].k
+        assert k35.run.records[-1].active_size == 0
 
     def test_mq_diagnostics(self):
-        host = gnp_sample(40, 0.3, seed=5)
-        ps = ParamSet(40, 0.3)
-        tracked = [0, 17, 33]
-        stats = increment_diagnostics(host, ps, tracked, seed=5, collect_mq=True)
-        assert stats.m_vj.shape == (3, stats.completed_steps)
-        snaps = [(set(range(40)), {w: host.degree(w) for w in range(40)})]
-        snaps += replay(host, stats.run.order)
-        for ti, v in enumerate(tracked):
-            for j in range(stats.completed_steps):
-                act, degs = snaps[j]
-                if v not in act:
-                    assert math.isnan(stats.m_vj[ti, j])
-                    continue
-                outside = act - {v} - set(host.neighbors(v))
-                m = sum(
-                    len(set(host.neighbors(u)) & set(host.neighbors(v)) & act)
-                    for u in outside
-                )
-                assert stats.m_vj[ti, j] == m
-                assert abs(
-                    stats.q_vj[ti, j] - (1 - (degs[v] + 1) / len(act))
-                ) < TOL
+        cases = [
+            (gnp_sample(40, 0.3, seed=5), ParamSet(40, 0.3), [0, 17, 33]),
+            (complete_bipartite(3, 5), ParamSet(8, 0.5, k_coef=3.0), list(range(8))),
+        ]
+        for host, ps, tracked in cases:
+            n = host.n
+            stats = increment_diagnostics(host, ps, tracked, seed=5, collect_mq=True)
+            assert stats.m_vj.shape == (len(tracked), stats.completed_steps)
+            snaps = [(set(range(n)), {w: host.degree(w) for w in range(n)})]
+            snaps += replay(host, stats.run.order)
+            for ti, v in enumerate(tracked):
+                for j in range(stats.completed_steps):
+                    act, degs = snaps[j]
+                    if v not in act:
+                        assert math.isnan(stats.m_vj[ti, j])
+                        continue
+                    outside = act - {v} - set(host.neighbors(v))
+                    m = sum(
+                        len(set(host.neighbors(u)) & set(host.neighbors(v)) & act)
+                        for u in outside
+                    )
+                    assert stats.m_vj[ti, j] == m
+                    assert abs(
+                        stats.q_vj[ti, j] - (1 - (degs[v] + 1) / len(act))
+                    ) < TOL
 
     def test_bound_abs_value(self):
         ps = ParamSet(1000, 0.05)
