@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, non_edge_count, non_edges
-from .params import ParamSet, bound_formulas
+from .params import ParamSet, bound_formulas, check_host_n
 from .process import sample_independent_set
 
 
@@ -123,8 +123,7 @@ def build_theta1_cover(host: Graph, ps: ParamSet, t: int, seed: int) -> Cover:
     """t independent greedy runs; the final sets form the family."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     sets = [
         VertexSet(host.n, sample_independent_set(host, ps.k, row))
         for row in _rng.trial_rows(seed, _rng.COVER_FLAT, 0, t, ps.k)
@@ -140,8 +139,7 @@ def build_theta1_adaptive(
     max_t defaults to the t_theta1 budget formula.  Hitting max_t with pairs
     still uncovered returns the partial cover; verify_cover exposes the gap.
     """
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     if max_t is None:
         max_t = bound_formulas(ps)["t_theta1"]
     if max_t < 1:
@@ -178,8 +176,7 @@ def build_pdim_cover(
     """t partitions of s disjoined runs each; empty cells dropped."""
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     rows = _rng.trial_rows(seed, _rng.COVER_PART, 0, s * t, ps.k)
     return PartitionCover(
         partitions=[_partition(host, ps.k, islice(rows, s)) for _ in range(t)],
@@ -200,8 +197,7 @@ def build_pdim_adaptive(
     budget at unit multiplier.  The count returned is the number of
     partitions used; count * k / (n log n) is the empirical multiplier.
     """
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     formulas = bound_formulas(ps)
     if s is None:
         s = formulas["s_pdim"]

@@ -23,9 +23,8 @@ import numpy as np
 from . import rng as _rng
 from .graph import Graph, VertexSet, complete_bipartite, is_independent
 from .graph import non_edge_count, non_edges
-from .params import ParamSet, error_f, expected_degree
-from .process import ProcessRun, _mask_bits, _take, chunked_map, run_with_generator
-from .process import sample_independent_set
+from .params import ParamSet, check_host_n, envelope, error_f
+from .process import _mask_bits, _take, chunked_map, init, sample_independent_set, step
 
 PAIR_SAMPLE_DEFAULT = 200
 MIN_CELL_TRIALS = 100
@@ -133,8 +132,7 @@ def estimate_membership(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     pairs = sample_non_edges(host, pair_sample, seed)
     us = np.array([u for u, _ in pairs], dtype=np.intp)
     vs = np.array([v for _, v in pairs], dtype=np.intp)
@@ -215,12 +213,8 @@ def _envelope_vacuous_through(host: Graph, ps: ParamSet, steps: int) -> bool:
     degrees only shrink, so host degrees bound them all.
     """
     max_deg = max(host.degrees(), default=0)
-    for t in range(1, steps + 1):
-        d_t = expected_degree(ps, t)
-        f_t = error_f(ps, t)
-        if (1 - f_t) * d_t > 0 or (1 + f_t) * d_t < max_deg:
-            return False
-    return True
+    rails = (envelope(ps, t) for t in range(1, steps + 1))
+    return all(e.lower <= 0 and e.upper >= max_deg for e in rails)
 
 
 def _chain_predictions(ps: ParamSet, i: int, j: int) -> list[dict]:
@@ -238,6 +232,17 @@ def _chain_predictions(ps: ParamSet, i: int, j: int) -> list[dict]:
     return out
 
 
+def _chain_holds(t: int, w: int, pos: list[int], i: int, j: int, u: int, v: int) -> bool:
+    """The chain event after step t, from its pick w and `_take`'s pos table."""
+    if t < i:
+        return pos[u] >= 0 and pos[v] >= 0
+    if t == i:
+        return w == u and pos[v] >= 0
+    if t < j:
+        return pos[v] >= 0
+    return w == v
+
+
 def _chain_trial_light(
     host: Graph, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
@@ -250,31 +255,23 @@ def _chain_trial_light(
             return t - 1
         w, removed = _take(host, ids, pos, active, draws[t - 1])
         active &= ~removed
-        if t < i:
-            if pos[u] < 0 or pos[v] < 0:
-                return t - 1
-        elif t == i:
-            if w != u or pos[v] < 0:
-                return t - 1
-        elif t < j:
-            if pos[v] < 0:
-                return t - 1
-        else:
-            if w != v:
-                return t - 1
+        if not _chain_holds(t, w, pos, i, j, u, v):
+            return t - 1
     return j
 
 
-def _steps_in_envelope(prun: ProcessRun) -> int:
-    """m such that steps 1..m of the run all kept the envelope.
-
-    tau alone is ambiguous: tau == completed_steps means either a clean run
-    or a violation at the last step, so the record at step tau decides.
-    """
-    m = prun.tau
-    if m and not prun.records[m - 1].in_envelope:
-        m -= 1
-    return m
+def _chain_trial_full(
+    host: Graph, ps: ParamSet, gen: np.random.Generator, i: int, j: int, u: int, v: int
+) -> int:
+    """Steps survived by the chain in one trial that must also keep the envelope."""
+    state = init(host, ps)
+    for t in range(1, j + 1):
+        rec = step(state, gen)
+        if rec is None or not rec.in_envelope:
+            return t - 1
+        if not _chain_holds(t, rec.chosen_vertex, state.pos, i, j, u, v):
+            return t - 1
+    return j
 
 
 def estimate_conditional_chain(
@@ -293,10 +290,12 @@ def estimate_conditional_chain(
     at step i and v still active through t < j; v chosen at step j; and no
     envelope violation through t.  When the envelope cannot be violated at
     all (precheck on the host's degree range), trials skip degree tracking
-    entirely; otherwise each trial replays a fully recorded run.
+    entirely; otherwise each trial steps the recording engine (`init`,
+    `step`) through at most j steps and stops at the first one that
+    exhausts the process, leaves the envelope or breaks the chain.  Either
+    way trial t reads only the first j draws of stream (seed, CHAIN, t).
     """
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     if not 1 <= i < j <= ps.k:
         raise ValueError("need 1 <= i < j <= k")
     if u == v or not (0 <= u < host.n and 0 <= v < host.n):
@@ -311,26 +310,13 @@ def estimate_conditional_chain(
     survived[0] = trials
 
     if light:
-        for row in _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j):
-            depth = _chain_trial_light(host, row, i, j, u, v)
-            survived[1 : depth + 1] += 1
+        rows = _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j)
+        depths = (_chain_trial_light(host, row, i, j, u, v) for row in rows)
     else:
-        for t in range(trials):
-            prun = run_with_generator(host, ps, _rng.stream(seed, _rng.CHAIN, t))
-            depth = 0
-            for step_t in range(1, min(j, _steps_in_envelope(prun)) + 1):
-                if step_t < i:
-                    ok = prun.sigma[u] > step_t and prun.sigma[v] > step_t
-                elif step_t == i:
-                    ok = prun.order[i - 1] == u and prun.sigma[v] > step_t
-                elif step_t < j:
-                    ok = prun.sigma[v] > step_t
-                else:
-                    ok = prun.order[j - 1] == v
-                if not ok:
-                    break
-                depth = step_t
-            survived[1 : depth + 1] += 1
+        gens = (_rng.stream(seed, _rng.CHAIN, t) for t in range(trials))
+        depths = (_chain_trial_full(host, ps, gen, i, j, u, v) for gen in gens)
+    for depth in depths:
+        survived[1 : depth + 1] += 1
 
     counts = survived.tolist()
     freq_chain: list[float | None] = []

@@ -93,6 +93,12 @@ def derive_params(
     return ParamSet(n=n, p=p, k_coef=k_coef, epsilon=epsilon)
 
 
+def check_host_n(ps: ParamSet, host) -> None:
+    """Reject a host whose vertex count differs from the ParamSet's n."""
+    if ps.n != host.n:
+        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+
+
 def expected_degree(ps: ParamSet, i: int) -> float:
     """Expected-degree trajectory after i steps: (1-p)^i * p * n."""
     if i < 0:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet
-from .params import ParamSet, error_f, expected_degree
+from .params import ParamSet, check_host_n, error_f, expected_degree
 
 
 @dataclass
@@ -66,7 +66,7 @@ class ProcessState:
 
     Exposed invariant surface: `step` (steps completed), `active` (V_i),
     `chosen` (ordered picks), `degrees` (induced degrees, valid for active
-    vertices only; stale elsewhere).
+    vertices only; stale elsewhere), `pos` (-1 once a vertex has left).
     """
 
     __slots__ = (
@@ -248,8 +248,7 @@ def run_with_generator(
     host: Graph, ps: ParamSet, gen: np.random.Generator, seed: int = -1, index: int = -1
 ) -> ProcessRun:
     """Drive up to k steps (or exhaustion) from an externally-owned stream."""
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     state = init(host, ps)
     records: list[StepRecord] = []
     for _ in range(ps.k):
@@ -400,8 +399,7 @@ def increment_diagnostics(
     q_vj = 1 - (d_j(v) + 1) / |V_j|, both exact; entries after v leaves
     are NaN.
     """
-    if ps.n != host.n:
-        raise ValueError(f"ParamSet is for n={ps.n}, host has n={host.n}")
+    check_host_n(ps, host)
     if isinstance(tracked, VertexSet):
         tracked = tracked.to_list()
     tracked = list(tracked)
@@ -411,6 +409,16 @@ def increment_diagnostics(
 
     prun = run(host, ps, seed, index)
     completed = prun.completed_steps
+    d_tilde = np.array([expected_degree(ps, 0)] + [r.d_tilde for r in prun.records])
+    bound_mean = 3.0 * ps.p * d_tilde[:-1]
+    if not tracked:
+        # what the derivation below gives on empty arrays, without running it
+        none = np.zeros((0, completed))
+        return IncrementStats(
+            tracked, completed, none, none, np.zeros(0), np.zeros(0), [], 0.0, 0.0,
+            increment_bound(ps), bound_mean, prun,
+            *((none, none) if collect_mq else (None, None)),
+        )
     sigma = np.array(prun.sigma, dtype=np.int64)
     tv = np.array(tracked, dtype=np.int64)
     nt = len(tracked)
@@ -420,7 +428,6 @@ def increment_diagnostics(
     t_of, w_of = np.nonzero(nbr)  # tracked index and neighbour of each edge
     d = _survivors(t_of, sigma[w_of], nt, completed)  # d[:, i] = d_i(v)
 
-    d_tilde = np.array([expected_degree(ps, 0)] + [r.d_tilde for r in prun.records])
     f = np.array([error_f(ps, 0)] + [r.f_i for r in prun.records])
     x_minus = (d - d_tilde) - f * d_tilde
     x_plus = (d - d_tilde) + f * d_tilde
@@ -454,9 +461,7 @@ def increment_diagnostics(
         max_abs_increment=0.0,
         mean_abs_increment=0.0,
         bound_abs=increment_bound(ps),
-        bound_mean=np.array(
-            [3.0 * ps.p * expected_degree(ps, i - 1) for i in range(1, completed + 1)]
-        ),
+        bound_mean=bound_mean,
         run=prun,
         m_vj=m_vj,
         q_vj=q_vj,

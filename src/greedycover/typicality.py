@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, common_non_neighbourhood
-from .params import ParamSet, error_f
+from .params import ParamSet, check_host_n, error_f
 from .process import run_with_generator
 
 P3_EXHAUSTIVE_LIMIT = 20000
@@ -138,8 +138,7 @@ def _check_strict_factor(strict_factor: float) -> None:
 def check_p2(g: Graph, ps: ParamSet, strict_factor: float = 1.0) -> P2Fragment:
     """Exhaustive degree check: |d(v) - pn| <= (f0/2) pn for every v."""
     _check_strict_factor(strict_factor)
-    if g.n != ps.n:
-        raise ValueError("graph and parameters disagree on n")
+    check_host_n(ps, g)
     pn = ps.p * ps.n
     slack = strict_factor * ps.f0 / 2 * pn
     lo, hi = pn - slack, pn + slack
@@ -164,8 +163,7 @@ def check_p3(
     `pair_sample` pairs is scanned and the fragment is flagged "sampled".
     """
     _check_strict_factor(strict_factor)
-    if g.n != ps.n:
-        raise ValueError("graph and parameters disagree on n")
+    check_host_n(ps, g)
     cap = strict_factor * ps.delta2
     rows = g.packed_rows()
     violations: list[tuple[int, int, int]] = []
@@ -236,8 +234,7 @@ def check_p1(
     prefixes beyond their length.
     """
     _check_strict_factor(strict_factor)
-    if g.n != ps.n:
-        raise ValueError("graph and parameters disagree on n")
+    check_host_n(ps, g)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if max_size is None:

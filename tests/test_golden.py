@@ -6,7 +6,8 @@ is one small invocation; its stdout is hashed with SHA-256 and compared
 with the digest recorded when the case was added.  Between them the cases
 reach every subcommand, both adaptive and both fixed cover modes, the
 membership, chain (light and full path), bipartite and uniform
-estimators, and the pooled paths at --threads 1 and 2.
+estimators, tracked and untracked ensembles, and the pooled paths at
+--threads 1 and 2.
 
 A change that alters one of these digests changes the output contract; it
 has to say so and justify it.  `python tests/test_golden.py` prints the
@@ -42,6 +43,8 @@ CASES = {
     "run": ["run", "--n", "150", "--p", "0.1", "--seed", "1"],
     "run-threads1": ENSEMBLE + ["1"],
     "run-threads2": ENSEMBLE + ["2"],
+    "run-untracked": ["run", "--n", "150", "--p", "0.1", "--seed", "1", "--trials", "40",
+                      "--threads", "1"],
     "typical": ["typical", "--n", "150", "--p", "0.1", "--seed", "2", "--budget", "4"],
     "cover-theta1": COVER + ["theta1", "--t", "40"],
     "cover-adaptive": COVER + ["adaptive"],
@@ -76,6 +79,7 @@ DIGESTS = {
     "run": "1148651a160de4fa0a575ee172df3044d4b91aeb6852a9855a75dd1514278ab2",
     "run-threads1": "33d641ab25cde91162c0c886eeed926eebef66fa7061f50aa50e96696fd7ca33",
     "run-threads2": "c80b7ac55d2230d90e11a2e2c2c2c92a57d6555b6571e3a1a56f398b9cb32ade",
+    "run-untracked": "1dedd6103c1860509ba0c69663009a1e78f626c6402b22cb6073c7e474f3f834",
     "typical": "22b3d62866320a7a81b4473fb879d43a4cddbf7a610ec2e562df4ba720c8f5e9",
     "uniform": "35724a50583276bbd275f866e02f65df35592d9ddc073f8f340dbc6e9d704323",
 }

@@ -2,9 +2,9 @@
 
 Statistical assertions use exact reference probabilities (symmetry or
 closed-form combinatorics) with wide sigma guards; identity assertions
-(count conservation, chain products) are exact on integers.  The light
-chain walker is cross-checked trial by trial against fully recorded runs
-driven from the same streams.
+(count conservation, chain products) are exact on integers.  Both chain
+paths are cross-checked trial by trial against fully recorded runs driven
+from the same streams.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -192,16 +191,30 @@ class TestConditionalChain:
             math.prod(p["center"] for p in est.predictions)
         )
 
-    def test_light_walker_matches_recorded_runs(self):
-        # Same streams, two engines: the light walker must agree with the
+    @pytest.mark.parametrize(
+        "make_host,ps,i,j,trials,seed,path",
+        [
+            (lambda: gnp_sample(100, 0.3, seed=6), ParamSet(100, 0.3), 2, 4, 400, 13,
+             "light"),
+            # the full path on a host far denser than its ParamSet: runs
+            # exhaust after 1-3 of the k = 6 steps
+            (lambda: gnp_sample(40, 0.9, seed=1), ParamSet(40, 0.05), 1, 2, 1500, 5,
+             "full"),
+            # the full path where every trial leaves the envelope at step 1
+            (lambda: two_cliques(100), ParamSet(200, 0.02), 1, 2, 300, 3, "full"),
+        ],
+        ids=["gnp100-light", "gnp40-dense-full", "two-cliques-full"],
+    )
+    def test_light_walker_matches_recorded_runs(
+        self, make_host, ps, i, j, trials, seed, path
+    ):
+        # Same streams, two engines: either chain path must agree with the
         # event evaluated on fully recorded runs, trial by trial.
-        host = gnp_sample(100, 0.3, seed=6)
-        ps = ParamSet(100, 0.3)
-        assert ps.k >= 4
+        host = make_host()
+        assert ps.k >= j
         u, v = next(iter(non_edges(host)))
-        trials, seed, i, j = 400, 13, 2, 4
         est = estimate_conditional_chain(host, ps, i, j, u, v, trials, seed)
-        assert est.path == "light"
+        assert est.path == path
         counts = [trials] + [0] * j
         for t in range(trials):
             prun = run_with_generator(host, ps, rng.stream(seed, rng.CHAIN, t))
@@ -231,26 +244,6 @@ class TestConditionalChain:
         )
         assert est.freq_chain[0] is None
         assert 1 in est.insufficient
-
-    @pytest.mark.parametrize(
-        "flags,tau,expect",
-        [
-            ([], 0, 0),  # no step completed
-            ([True, True, True], 3, 3),  # no violation: tau = completed
-            ([True, True, False], 3, 2),  # violation at the last step
-            ([True, False, True, True], 2, 1),  # violation before the end
-            ([False, False], 1, 0),
-        ],
-    )
-    def test_steps_in_envelope_reads_tau(self, flags, tau, expect):
-        # tau == completed_steps is ambiguous on its own: the last record
-        # decides whether it is a violation or the end of a clean run
-        records = [SimpleNamespace(in_envelope=f) for f in flags]
-        prun = SimpleNamespace(tau=tau, completed_steps=len(flags), records=records)
-        assert mc._steps_in_envelope(prun) == expect
-        assert expect == next(
-            (s for s, r in enumerate(records) if not r.in_envelope), len(records)
-        )
 
     def test_stopping_condition_zeroes_chain(self):
         # Two disjoint cliques: step 1 always leaves a clique whose common
