@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .cover import (
@@ -39,7 +39,7 @@ from .montecarlo import (
     uniform_independent_set,
 )
 from .params import ParamSet, bound_formulas, envelope
-from .process import ensemble_run, run
+from .process import StepRecord, ensemble_run, run
 from .typicality import is_typical
 
 SCHEMA_VERSION = 1
@@ -269,6 +269,10 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
             parser.error(f"cover --mode {cfg.mode} requires --t")
         if cfg.mode in ("adaptive", "pdim-adaptive") and cfg.t is not None:
             parser.error("--t applies to fixed modes; use --max-t with adaptive")
+        if cfg.mode in ("theta1", "pdim") and cfg.max_t is not None:
+            parser.error("--max-t applies to adaptive modes; use --t with fixed")
+        if cfg.mode in ("theta1", "adaptive") and cfg.s is not None:
+            parser.error("--s applies to the pdim modes only")
     if needs_host and cfg.input is None and cfg.p is None:
         parser.error("generating a host requires --p")
     for name in ("trials", "budget", "t", "s", "max_t", "max_size", "k", "threads"):
@@ -339,32 +343,16 @@ def _emit(cfg: RunConfig, payload: str, note: str) -> None:
         print("note: CSV is lossy; JSON is the canonical format", file=sys.stderr)
 
 
+def _csv_cell(value):
+    """None as an empty cell, a bool as 0/1; csv writes the rest with str()."""
+    if value is None:
+        return ""
+    return int(value) if isinstance(value, bool) else value
+
+
 def _run_records_csv(prun) -> str:
-    header = [
-        "i",
-        "chosen_vertex",
-        "active_size",
-        "deg_min",
-        "deg_max",
-        "deg_mean",
-        "d_tilde",
-        "f_i",
-        "in_envelope",
-    ]
-    rows = [
-        [
-            r.i,
-            r.chosen_vertex,
-            r.active_size,
-            "" if r.deg_min is None else r.deg_min,
-            "" if r.deg_max is None else r.deg_max,
-            "" if r.deg_mean is None else repr(r.deg_mean),
-            repr(r.d_tilde),
-            repr(r.f_i),
-            int(r.in_envelope),
-        ]
-        for r in prun.records
-    ]
+    header = [f.name for f in fields(StepRecord)]
+    rows = [[_csv_cell(x) for x in r.to_dict().values()] for r in prun.records]
     return _csv_table(header, rows)
 
 

@@ -3,8 +3,8 @@
 Vertices are integers 0..n-1.  Adjacency is stored as one Python int per
 vertex, bit v of row u set iff uv is an edge; unions, complements and
 popcounts over whole neighbourhoods are then single big-int operations.  A
-packed uint8 mirror of the rows is cached lazily for the numpy-vectorized
-paths (codegree scans, degree bookkeeping in the process engine).
+packed uint8 mirror of the rows and the degree vector are cached lazily for
+the numpy paths (codegree scans, degree bookkeeping in the process engine).
 
 Graphs are immutable once constructed.  Construct them through
 `gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
@@ -86,13 +86,14 @@ _SYMMETRY_BLOCK = 512
 class Graph:
     """Immutable simple undirected graph with bit-vector adjacency rows."""
 
-    __slots__ = ("n", "_rows", "edge_count", "_packed")
+    __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees")
 
     def __init__(self, n: int, rows: tuple[int, ...], edge_count: int):
         self.n = n
         self._rows = rows
         self.edge_count = edge_count
         self._packed = None
+        self._degrees = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -136,6 +137,13 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self._rows]
+
+    def degree_array(self) -> np.ndarray:
+        """Read-only int64 vector of the degrees, computed once per graph."""
+        if self._degrees is None:
+            self._degrees = np.array(self.degrees(), dtype=np.int64)
+            self._degrees.flags.writeable = False
+        return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self._rows[u] >> v) & 1 == 1

@@ -15,7 +15,7 @@ thread count cannot affect results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -140,10 +140,8 @@ def estimate_membership(
     args = (host, ps.k, seed, us, vs)
     parts = chunked_map(_membership_chunk, args, trials, _MEMBERSHIP_CHUNK, threads)
 
-    vcount = np.zeros(host.n, dtype=np.int64)
-    pcount = np.zeros(len(pairs), dtype=np.int64)
-    sizes = 0
-    for vc, pc, sz in parts:
+    vcount, pcount, sizes = parts[0]
+    for vc, pc, sz in parts[1:]:
         vcount += vc
         pcount += pc
         sizes += sz
@@ -189,20 +187,7 @@ class ConditionalEstimate:
     predicted_joint: float
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "u": self.u,
-            "v": self.v,
-            "trials": self.trials,
-            "path": self.path,
-            "counts": self.counts,
-            "freq_chain": self.freq_chain,
-            "insufficient": self.insufficient,
-            "predictions": self.predictions,
-            "joint_freq": self.joint_freq,
-            "predicted_joint": self.predicted_joint,
-        }
+        return asdict(self)
 
 
 def _envelope_vacuous_through(host: Graph, ps: ParamSet, steps: int) -> bool:
@@ -212,7 +197,7 @@ def _envelope_vacuous_through(host: Graph, ps: ParamSet, steps: int) -> bool:
     rail at or above the largest host degree, for every step.  Induced
     degrees only shrink, so host degrees bound them all.
     """
-    max_deg = max(host.degrees(), default=0)
+    max_deg = int(host.degree_array().max(initial=0))
     rails = (envelope(ps, t) for t in range(1, steps + 1))
     return all(e.lower <= 0 and e.upper >= max_deg for e in rails)
 

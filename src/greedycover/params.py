@@ -12,7 +12,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,7 @@ class EnvelopePoint:
     active_upper: float
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "d_tilde": self.d_tilde,
-            "f_i": self.f_i,
-            "lower": self.lower,
-            "upper": self.upper,
-            "active_lower": self.active_lower,
-            "active_upper": self.active_upper,
-        }
+        return asdict(self)
 
 
 def envelope(ps: ParamSet, i: int) -> EnvelopePoint:

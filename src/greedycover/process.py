@@ -23,7 +23,7 @@ that honours a thread count: fixed trial chunks, results in chunk order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +48,7 @@ class StepRecord:
     in_envelope: bool
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "chosen_vertex": self.chosen_vertex,
-            "active_size": self.active_size,
-            "deg_min": self.deg_min,
-            "deg_max": self.deg_max,
-            "deg_mean": self.deg_mean,
-            "d_tilde": self.d_tilde,
-            "f_i": self.f_i,
-            "in_envelope": self.in_envelope,
-        }
+        return asdict(self)
 
 
 class ProcessState:
@@ -91,7 +81,7 @@ class ProcessState:
         self.active_mask = host.full_mask
         self.ids = list(range(n))
         self.pos = list(range(n))
-        self.degrees = np.array(host.degrees(), dtype=np.int64)
+        self.degrees = host.degree_array().copy()
         self.chosen_list: list[int] = []
         self.chosen_mask = 0
         self.sigma_raw = np.zeros(n, dtype=np.int64)  # step v left active; 0 = still in
@@ -617,33 +607,27 @@ def ensemble_run(
     args = (host, ps, seed, tracked)
     parts = chunked_map(_ensemble_chunk, args, trials, _CHUNK, threads)
 
-    k = ps.k
-    completed: list[int] = []
-    sizes: list[int] = []
-    violations = 0
-    count = np.zeros(k, dtype=np.int64)
-    rsum = np.zeros(k)
-    rmin = np.full(k, np.inf)
-    rmax = np.full(k, -np.inf)
-    dm_sum = dm_sq = dp_sum = dp_sq = 0.0
-    dn = 0
-    for part in parts:
-        violations += part["violations"]
-        completed.extend(part["completed"])
-        sizes.extend(part["sizes"])
-        count += part["count"]
-        rsum += part["rsum"]
-        rmin = np.minimum(rmin, part["rmin"])
-        rmax = np.maximum(rmax, part["rmax"])
-        dm_sum += part["dm_sum"]
-        dm_sq += part["dm_sq"]
-        dp_sum += part["dp_sum"]
-        dp_sq += part["dp_sq"]
-        dn += part["dn"]
+    # Later chunks merge into the first; a chunk's float partials start at
+    # +0.0 and +-inf, so this is bit for bit a merge into fresh zeros.
+    tot = parts[0]
+    for part in parts[1:]:
+        tot["violations"] += part["violations"]
+        tot["completed"].extend(part["completed"])
+        tot["sizes"].extend(part["sizes"])
+        tot["count"] += part["count"]
+        tot["rsum"] += part["rsum"]
+        tot["rmin"] = np.minimum(tot["rmin"], part["rmin"])
+        tot["rmax"] = np.maximum(tot["rmax"], part["rmax"])
+        tot["dm_sum"] += part["dm_sum"]
+        tot["dm_sq"] += part["dm_sq"]
+        tot["dp_sum"] += part["dp_sum"]
+        tot["dp_sq"] += part["dp_sq"]
+        tot["dn"] += part["dn"]
 
+    count, rmin, rmax, dn = tot["count"], tot["rmin"], tot["rmax"], tot["dn"]
     used = count > 0
-    ratio_mean = np.full(k, np.nan)
-    ratio_mean[used] = rsum[used] / count[used]
+    ratio_mean = np.full(ps.k, np.nan)
+    ratio_mean[used] = tot["rsum"][used] / count[used]
     rmin[~used] = np.nan
     rmax[~used] = np.nan
 
@@ -654,16 +638,16 @@ def ensemble_run(
         var = max(sq / dn - mean * mean, 0.0)
         return mean, math.sqrt(var / dn)
 
-    dm_mean, dm_se = moments(dm_sum, dm_sq)
-    dp_mean, dp_se = moments(dp_sum, dp_sq)
+    dm_mean, dm_se = moments(tot["dm_sum"], tot["dm_sq"])
+    dp_mean, dp_se = moments(tot["dp_sum"], tot["dp_sq"])
     return EnsembleSummary(
         trials=trials,
         ps=ps,
         seed=seed,
-        violation_runs=violations,
-        tau_equals_completed_fraction=1.0 - violations / trials,
-        completed_steps=completed,
-        set_sizes=sizes,
+        violation_runs=tot["violations"],
+        tau_equals_completed_fraction=1.0 - tot["violations"] / trials,
+        completed_steps=tot["completed"],
+        set_sizes=tot["sizes"],
         step_counts=count.tolist(),
         ratio_mean=ratio_mean.tolist(),
         ratio_min=rmin.tolist(),

@@ -19,7 +19,7 @@ the margin says by how much.  `strict_factor` shrinks every slack
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,13 +101,7 @@ class ETableRow:
     threshold_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "mu_s": self.mu_s,
-            "e_s": self.e_s,
-            "threshold": self.threshold,
-            "threshold_ok": self.threshold_ok,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,7 +136,7 @@ def check_p2(g: Graph, ps: ParamSet, strict_factor: float = 1.0) -> P2Fragment:
     pn = ps.p * ps.n
     slack = strict_factor * ps.f0 / 2 * pn
     lo, hi = pn - slack, pn + slack
-    degs = np.array(g.degrees(), dtype=np.int64)
+    degs = g.degree_array()
     dev = np.abs(degs - pn)
     bad = np.nonzero(dev > slack)[0]
     violations = [(int(v), int(degs[v]), (lo, hi)) for v in bad]

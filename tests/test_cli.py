@@ -85,6 +85,13 @@ class TestParse:
             ["bounds", "--p", "0.05"],  # missing --n
             ["typical", "--n", "50", "--p", "0.2", "--max-size", "0"],
             ["typical", "--n", "50", "--p", "0.2", "--max-size", "-3"],
+            ["cover", "--n", "50", "--p", "0.1", "--mode", "theta1", "--t", "5",
+             "--max-t", "9"],  # --max-t with a fixed mode
+            ["cover", "--n", "50", "--p", "0.1", "--mode", "pdim", "--t", "5",
+             "--max-t", "9"],
+            ["cover", "--n", "50", "--p", "0.1", "--mode", "theta1", "--t", "5",
+             "--s", "3"],  # --s outside the pdim modes
+            ["cover", "--n", "50", "--p", "0.1", "--mode", "adaptive", "--s", "3"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

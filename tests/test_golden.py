@@ -6,8 +6,8 @@ is one small invocation; its stdout is hashed with SHA-256 and compared
 with the digest recorded when the case was added.  Between them the cases
 reach every subcommand, both adaptive and both fixed cover modes, the
 membership, chain (light and full path), bipartite and uniform
-estimators, tracked and untracked ensembles, and the pooled paths at
---threads 1 and 2.
+estimators, tracked and untracked ensembles, the pooled paths at
+--threads 1 and 2, and both CSV tables.
 
 A change that alters one of these digests changes the output contract; it
 has to say so and justify it.  `python tests/test_golden.py` prints the
@@ -41,6 +41,7 @@ CASES = {
     "gen": ["gen", "--n", "40", "--p", "0.1", "--seed", "3"],
     "bounds": ["bounds", "--n", "1000", "--p", "0.05"],
     "run": ["run", "--n", "150", "--p", "0.1", "--seed", "1"],
+    "run-csv": ["run", "--n", "150", "--p", "0.1", "--seed", "1", "--format", "csv"],
     "run-threads1": ENSEMBLE + ["1"],
     "run-threads2": ENSEMBLE + ["2"],
     "run-untracked": ["run", "--n", "150", "--p", "0.1", "--seed", "1", "--trials", "40",
@@ -52,6 +53,8 @@ CASES = {
     "cover-pdim-adaptive": COVER + ["pdim-adaptive"],
     "membership-threads1": MEMBERSHIP + ["1"],
     "membership-threads2": MEMBERSHIP + ["2"],
+    "membership-csv": ["estimate", "--what", "membership", "--n", "80", "--p", "0.1",
+                       "--seed", "2", "--trials", "3000", "--format", "csv"],
     "chain-light": ["estimate", "--what", "chain", "--n", "60", "--p", "0.2",
                     "--seed", "3", "--i", "1", "--j", "3", "--u", "0", "--v", "1",
                     "--trials", "3000"],
@@ -74,9 +77,11 @@ DIGESTS = {
     "cover-pdim-adaptive": "a183969f5def76d0bf5d5ef6f14c341f8f6d7574cb1c4667ff8d85f0e3b37478",
     "cover-theta1": "5beba7fcb87dd2ed3f8d57843aa3edfb0b61ea775772f3b674ff57b53f1e33fd",
     "gen": "e353b376e4f780a14dcc88e0c60a8809fd055ea8e098f94a70cd697da2193482",
+    "membership-csv": "26b8c8e776263ec0c29035610aa3b7e57c69764c587ce4061059e749693ff7a2",
     "membership-threads1": "54cda11a4c3d9ebfe98a33bd7ce2ea739fa163cfd0f390c17db103d2003aba9b",
     "membership-threads2": "c0768ad8c67ad8b958830450cdc7cf1323ec17c3f7d1786cffc5a986034350f4",
     "run": "1148651a160de4fa0a575ee172df3044d4b91aeb6852a9855a75dd1514278ab2",
+    "run-csv": "cc02c42a4be8969bb629c019a674f66554d9e6ff0a86b313ed6c6127f85a1774",
     "run-threads1": "33d641ab25cde91162c0c886eeed926eebef66fa7061f50aa50e96696fd7ca33",
     "run-threads2": "c80b7ac55d2230d90e11a2e2c2c2c92a57d6555b6571e3a1a56f398b9cb32ade",
     "run-untracked": "1dedd6103c1860509ba0c69663009a1e78f626c6402b22cb6073c7e474f3f834",

@@ -302,6 +302,16 @@ class TestPackedRows:
         counts = np.bitwise_count(g.packed_rows()).sum()
         assert int(counts) == 2 * g.edge_count
 
+    def test_degree_array_cached_read_only_unpickled(self):
+        import pickle
+
+        g = gnp_sample(45, 0.3, 8)
+        sent = pickle.dumps(g)
+        degs = g.degree_array()
+        assert degs.dtype == np.int64 and degs.tolist() == g.degrees()
+        assert g.degree_array() is degs and not degs.flags.writeable
+        assert pickle.dumps(g) == sent
+
 
 def test_pickle_roundtrip():
     import pickle
