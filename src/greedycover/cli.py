@@ -219,15 +219,51 @@ def parse_args(argv: list[str]) -> RunConfig:
     cfg = RunConfig(
         **{k: v for k, v in vars(ns).items() if k in RunConfig.__dataclass_fields__}
     )
-    _validate(parser, cfg)
+    _validate(parser, subs.choices[cfg.subcommand], cfg)
     return cfg
 
 
-def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
+# The paths of each subcommand that read a flag.  The path is run's trial
+# count, cover's --mode and estimate's --what; a flag set away from its
+# default on any other path would be ignored yet echoed in `config`.
+_HOSTED = {"membership", "pair", "chain", "uniform"}
+_GREEDY = {"membership", "pair", "chain"}
+_APPLIES = {
+    "run": dict.fromkeys(("tracked", "threads"), {"ensemble"}),
+    "cover": {
+        "t": {"theta1", "pdim"},
+        "max_t": {"adaptive", "pdim-adaptive"},
+        "s": {"pdim", "pdim-adaptive"},
+    },
+    "estimate": {
+        **dict.fromkeys(("input", "n", "p"), _HOSTED),
+        **dict.fromkeys(("k_coef", "epsilon"), _GREEDY),
+        "trials": _GREEDY | {"bipartite"},
+        **dict.fromkeys(("pair_sample", "threads"), {"membership", "pair"}),
+        **dict.fromkeys(("i", "j", "u", "v"), {"chain"}),
+        **dict.fromkeys(("a", "b"), {"bipartite"}),
+        "k": {"bipartite", "uniform"},
+        **dict.fromkeys(("index", "sample_mode"), {"uniform"}),
+    },
+}
+
+
+def _validate(
+    parser: argparse.ArgumentParser, sub_parser: argparse.ArgumentParser, cfg: RunConfig
+) -> None:
     """Cross-flag checks; every failure is a usage error (exit 2)."""
     sub = cfg.subcommand
+    path = {
+        "run": "trajectory" if cfg.trials == 1 else "ensemble",
+        "cover": cfg.mode,
+        "estimate": cfg.what,
+    }.get(sub)
+    for name, paths in _APPLIES.get(sub, {}).items():
+        if path not in paths and getattr(cfg, name) != sub_parser.get_default(name):
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} does not apply to this {sub} ({path})")
     needs_host = sub in ("run", "typical", "cover") or (
-        sub == "estimate" and cfg.what in ("membership", "pair", "chain", "uniform")
+        sub == "estimate" and cfg.what in _HOSTED
     )
     if needs_host:
         if cfg.input is not None and cfg.n is not None:
@@ -235,7 +271,7 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
         if cfg.input is None and cfg.n is None:
             parser.error(f"{sub} needs a host: pass --input or --n")
     needs_p = sub in ("run", "typical", "cover", "bounds") or (
-        sub == "estimate" and cfg.what in ("membership", "pair", "chain")
+        sub == "estimate" and cfg.what in _GREEDY
     )
     if needs_p and cfg.p is None:
         parser.error(f"{sub} requires --p")
@@ -251,8 +287,6 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
         if cfg.what == "bipartite":
             if cfg.a is None or cfg.b is None or cfg.k is None:
                 parser.error("--what bipartite requires --a --b --k")
-            if cfg.input is not None or cfg.n is not None:
-                parser.error("--what bipartite builds its own host; drop --input/--n")
         if cfg.what == "uniform" and cfg.k is None:
             parser.error("--what uniform requires --k")
     if cfg.format == "csv":
@@ -267,12 +301,6 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
     if sub == "cover":
         if cfg.mode in ("theta1", "pdim") and cfg.t is None:
             parser.error(f"cover --mode {cfg.mode} requires --t")
-        if cfg.mode in ("adaptive", "pdim-adaptive") and cfg.t is not None:
-            parser.error("--t applies to fixed modes; use --max-t with adaptive")
-        if cfg.mode in ("theta1", "pdim") and cfg.max_t is not None:
-            parser.error("--max-t applies to adaptive modes; use --t with fixed")
-        if cfg.mode in ("theta1", "adaptive") and cfg.s is not None:
-            parser.error("--s applies to the pdim modes only")
     if needs_host and cfg.input is None and cfg.p is None:
         parser.error("generating a host requires --p")
     for name in ("trials", "budget", "t", "s", "max_t", "max_size", "k", "threads"):

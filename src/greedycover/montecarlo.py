@@ -229,9 +229,9 @@ def _chain_holds(t: int, w: int, pos: list[int], i: int, j: int, u: int, v: int)
 
 
 def _chain_trial_light(
-    host: Graph, draws: np.ndarray, i: int, j: int, u: int, v: int
+    host: Graph, ps: ParamSet, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
-    """Steps survived by the viability chain in one trial (0..j)."""
+    """Steps survived by the viability chain in one trial (0..j); ps is unread."""
     active = host.full_mask
     ids = list(range(host.n))
     pos = list(range(host.n))
@@ -246,12 +246,12 @@ def _chain_trial_light(
 
 
 def _chain_trial_full(
-    host: Graph, ps: ParamSet, gen: np.random.Generator, i: int, j: int, u: int, v: int
+    host: Graph, ps: ParamSet, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
     """Steps survived by the chain in one trial that must also keep the envelope."""
     state = init(host, ps)
     for t in range(1, j + 1):
-        rec = step(state, gen)
+        rec = step(state, draws[t - 1])
         if rec is None or not rec.in_envelope:
             return t - 1
         if not _chain_holds(t, rec.chosen_vertex, state.pos, i, j, u, v):
@@ -291,17 +291,11 @@ def estimate_conditional_chain(
         raise ValueError("trials must be >= 1")
 
     light = _envelope_vacuous_through(host, ps, j)
+    trial = _chain_trial_light if light else _chain_trial_full
     survived = np.zeros(j + 1, dtype=np.int64)
     survived[0] = trials
-
-    if light:
-        rows = _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j)
-        depths = (_chain_trial_light(host, row, i, j, u, v) for row in rows)
-    else:
-        gens = (_rng.stream(seed, _rng.CHAIN, t) for t in range(trials))
-        depths = (_chain_trial_full(host, ps, gen, i, j, u, v) for gen in gens)
-    for depth in depths:
-        survived[1 : depth + 1] += 1
+    for row in _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j):
+        survived[1 : trial(host, ps, row, i, j, u, v) + 1] += 1
 
     counts = survived.tolist()
     freq_chain: list[float | None] = []

@@ -5,10 +5,11 @@ non-neighbourhood of everything chosen so far), add it to the chosen set,
 and remove its closed neighbourhood from the active set.  That step lives in
 one function, `_take`, which keeps the active vertices in a dense id list
 with swap-removal for O(1) uniform draws; the light kernels (final set only)
-and the recording engine both call it, so fed the same uniforms they make
-the same choices.  The recording engine also keeps the active set as a
-bit-vector and a numpy degree vector updated incrementally, so a step costs
-O(|removed| * n / 64) instead of a recomputation from scratch.
+and the recording engine both call it with a float uniform, so fed the same
+uniforms they make the same choices.  The recording engine also keeps the
+active set as a bit-vector and a numpy degree vector updated incrementally:
+a step gathers the |removed| packed rows that left and unpacks each to n
+bytes, O(|removed| * n) instead of a recomputation from scratch.
 
 `run_with_generator` holds the one step loop: `run` records one trajectory
 against the analytics envelope, and `increment_diagnostics` derives the
@@ -143,12 +144,12 @@ def _take(
     return v, removed
 
 
-def step(state: ProcessState, gen: np.random.Generator) -> StepRecord | None:
-    """Perform one step; None signals natural exhaustion (empty active set)."""
+def step(state: ProcessState, u: float) -> StepRecord | None:
+    """Perform one step on uniform u; None signals exhaustion (empty active set)."""
     if not state.ids:
         return None
     host = state.host
-    v, rm_mask = _take(host, state.ids, state.pos, state.active_mask, gen.random())
+    v, rm_mask = _take(host, state.ids, state.pos, state.active_mask, u)
     i = state.step + 1
     state.active_mask &= ~rm_mask
     state.chosen_list.append(v)
@@ -237,12 +238,15 @@ class ProcessRun:
 def run_with_generator(
     host: Graph, ps: ParamSet, gen: np.random.Generator, seed: int = -1, index: int = -1
 ) -> ProcessRun:
-    """Drive up to k steps (or exhaustion) from an externally-owned stream."""
+    """Drive up to k steps (or exhaustion) from an externally-owned stream.
+
+    Reads k uniforms in one `gen.random(k)` call, so `gen` advances by k.
+    """
     check_host_n(ps, host)
     state = init(host, ps)
     records: list[StepRecord] = []
-    for _ in range(ps.k):
-        rec = step(state, gen)
+    for u in gen.random(ps.k).tolist():
+        rec = step(state, u)
         if rec is None:
             break
         records.append(rec)
@@ -272,19 +276,14 @@ def run(host: Graph, ps: ParamSet, seed: int, index: int = 0) -> ProcessRun:
     return run_with_generator(host, ps, gen, seed=seed, index=index)
 
 
-def sample_independent_set(
-    host: Graph, k: int, draws: np.ndarray | np.random.Generator
-) -> int:
+def sample_independent_set(host: Graph, k: int, draws: np.ndarray) -> int:
     """Fast path: the final chosen set only, as a bit mask.
 
-    `draws` is a trial's stream, or its first k uniforms (a row of
-    `rng.uniform_rows`); both give the same set.  The choice sequence is
-    identical to the recording engine fed the same stream, because both map
-    the t-th uniform through floor(u * active_size) against the same
-    swap-removal order.
+    `draws` holds a trial's first k uniforms (a row of `rng.uniform_rows`).
+    The choice sequence is identical to the recording engine fed the same
+    uniforms, because both map the t-th uniform through
+    floor(u * active_size) against the same swap-removal order.
     """
-    if not isinstance(draws, np.ndarray):
-        draws = draws.random(k)
     n = host.n
     active = host.full_mask
     ids = list(range(n))

@@ -11,14 +11,16 @@ vs. process runs vs. subset draws), and work unit `index` (a trial, run, or
 copy number) gets its own stream that can be regenerated in isolation.  This
 is what makes results independent of execution order and thread count.
 
-Sequential consumers (host sampling, recording runs, subset and pair draws,
-`int_stream`) read a stream through numpy's Generator.  Per-trial light
-kernels only need the first k uniforms of each trial's stream; they read the
-same numbers through `uniform_rows`, which evaluates Philox in counter mode
+The greedy step takes its uniform as a float, and a trial needs at most
+the first k uniforms of its stream.  The greedy kernels (membership trials,
+flat and partition cover runs, both chain paths, the bipartite example)
+read them as rows of `uniform_rows`, which evaluates Philox in counter mode
 over a block of trial indices at once (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11).  Row t equals
 `stream(seed, domain, t).random(k)` bit for bit, so the block size
-(`BLOCK_COUNTERS`) changes no output.
+(`BLOCK_COUNTERS`) changes no output.  Recording runs read the same k
+uniforms from a Generator with one `random(k)` call.  Host sampling,
+subset, pair and P3 draws and `int_stream` read a Generator sequentially.
 """
 
 from __future__ import annotations

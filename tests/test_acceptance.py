@@ -76,10 +76,9 @@ def test_criterion_01_process_oracle_equivalence():
         host = gnp_sample(n, p, seed)
         ps = ParamSet(n, p)
         state = init(host, ps)
-        gen = rng.stream(seed, rng.RUN)
         prefix: list[int] = []
-        for _ in range(ps.k):
-            rec = step(state, gen)
+        for u in rng.stream(seed, rng.RUN).random(ps.k):
+            rec = step(state, u)
             if rec is None:
                 break
             prefix.append(rec.chosen_vertex)
@@ -110,7 +109,8 @@ def test_criterion_02_independence_invariant():
         prun = run(host, ps, seed)
         assert is_independent(host, prun.chosen)
         checked += 1
-        mask = sample_independent_set(host, ps.k, rng.stream(seed, rng.RUN, 7))
+        draws = rng.stream(seed, rng.RUN, 7).random(ps.k)
+        mask = sample_independent_set(host, ps.k, draws)
         assert is_independent(host, VertexSet(n, mask))
         checked += 1
         flat = build_theta1_cover(host, ps, t=30, seed=seed)

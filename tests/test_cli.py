@@ -45,6 +45,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# invocations that exit 0 as they stand
+BIPARTITE = ["estimate", "--what", "bipartite", "--a", "4", "--b", "5", "--k", "2"]
+CHAIN = ["estimate", "--what", "chain", "--n", "60", "--p", "0.2", "--seed", "3",
+         "--i", "1", "--j", "3", "--u", "0", "--v", "1", "--trials", "200"]
+UNIFORM = ["estimate", "--what", "uniform", "--n", "20", "--p", "0.2", "--k", "3"]
+MEMBERSHIP = ["estimate", "--what", "membership", "--n", "30", "--p", "0.2",
+              "--trials", "50"]
+
+
 class TestParse:
     def test_roundtrip_fields(self):
         cfg = parse_args(
@@ -92,12 +101,30 @@ class TestParse:
             ["cover", "--n", "50", "--p", "0.1", "--mode", "theta1", "--t", "5",
              "--s", "3"],  # --s outside the pdim modes
             ["cover", "--n", "50", "--p", "0.1", "--mode", "adaptive", "--s", "3"],
+            # flags that the chosen path never reads
+            ["run", "--n", "50", "--p", "0.2", "--tracked", "3"],
+            ["run", "--n", "60", "--p", "0.2", "--threads", "2"],
+            BIPARTITE + ["--threads", "2"],
+            CHAIN + ["--threads", "2"],
+            UNIFORM + ["--threads", "2"],
+            BIPARTITE + ["--p", "0.3"],
+            BIPARTITE + ["--k-coef", "0.7"],
+            UNIFORM + ["--k-coef", "0.7"],
+            UNIFORM + ["--trials", "7"],
+            MEMBERSHIP + ["--k", "4"],
+            MEMBERSHIP + ["--i", "2"],
+            CHAIN + ["--pair-sample", "5"],
+            CHAIN + ["--k", "3"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN, UNIFORM, MEMBERSHIP])
+    def test_path_flags_at_defaults_are_accepted(self, argv):
+        assert parse_args(argv).subcommand == "estimate"
 
 
 class TestGen:

@@ -138,7 +138,7 @@ class TestPdim:
         for i in range(t):
             raw = [
                 sample_independent_set(
-                    host, ps.k, rng.stream(seed, rng.COVER_PART, i * s + j)
+                    host, ps.k, rng.stream(seed, rng.COVER_PART, i * s + j).random(ps.k)
                 )
                 for j in range(s)
             ]

@@ -55,17 +55,6 @@ def two_cliques(half):
     return Graph.from_rows(rows)
 
 
-class StubGen:
-    """Feeds a preset uniform sequence; stands in for a Generator."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None):
-        assert size is None
-        return self.values.pop(0)
-
-
 class TestStepMechanics:
     def test_against_replay_oracle(self):
         host = gnp_sample(80, 0.2, seed=7)
@@ -86,10 +75,9 @@ class TestStepMechanics:
         host = gnp_sample(60, 0.25, seed=3)
         ps = ParamSet(60, 0.25)
         state = init(host, ps)
-        gen = rng.stream(5, rng.RUN, 0)
         order = []
-        for _ in range(ps.k):
-            rec = step(state, gen)
+        for u in rng.stream(5, rng.RUN, 0).random(ps.k):
+            rec = step(state, u)
             if rec is None:
                 break
             order.append(rec.chosen_vertex)
@@ -108,7 +96,7 @@ class TestStepMechanics:
         host = Graph.from_rows(rows)
         ps = ParamSet(n, 0.1)
         state = init(state_host := host, ps)
-        rec = step(state, StubGen([(3 + 0.5) / n]))
+        rec = step(state, (3 + 0.5) / n)
         assert rec.chosen_vertex == 3
         assert rec.active_size == n - 2
         assert rec.deg_min == rec.deg_max == 0
@@ -116,11 +104,11 @@ class TestStepMechanics:
 
         # centre first: one step exhausts the graph
         state = init(state_host, ps)
-        rec = step(state, StubGen([0.5 / n]))
+        rec = step(state, 0.5 / n)
         assert rec.chosen_vertex == 0
         assert rec.active_size == 0
         assert rec.deg_min is None and rec.in_envelope
-        assert step(state, StubGen([0.5])) is None
+        assert step(state, 0.5) is None
 
     def test_complete_graph_one_step(self):
         half = 12
@@ -236,7 +224,7 @@ class TestLightRunner:
         for host, ps, seed, exhausts in cases:
             full = run(host, ps, seed=seed + 50)
             light = sample_independent_set(
-                host, ps.k, rng.stream(seed + 50, rng.RUN, 0)
+                host, ps.k, rng.stream(seed + 50, rng.RUN, 0).random(ps.k)
             )
             assert light == full.chosen.members
             if exhausts:
@@ -245,7 +233,7 @@ class TestLightRunner:
 
     def test_independent_output(self):
         host = gnp_sample(60, 0.2, seed=1)
-        mask = sample_independent_set(host, 10, rng.stream(4, rng.RUN, 0))
+        mask = sample_independent_set(host, 10, rng.stream(4, rng.RUN, 0).random(10))
         vs = [v for v in range(60) if mask >> v & 1]
         for i, u in enumerate(vs):
             for v in vs[i + 1:]:
@@ -476,7 +464,7 @@ class TestStateSurface:
         assert state.step == 0
         assert set(state.active) == set(range(9))
         assert list(state.degrees) == host.degrees()
-        rec = step(state, StubGen([0.5 / 9]))  # picks vertex 0 (side A)
+        rec = step(state, 0.5 / 9)  # picks vertex 0 (side A)
         assert rec.chosen_vertex == 0
         # side B gone, side A survivors isolated
         assert set(state.active) == {1, 2, 3}

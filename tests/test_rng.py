@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from greedycover import rng
+from greedycover.graph import gnp_sample, to_edge_list
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,6 +100,30 @@ class TestTrialRows:
         )
 
 
+class TestChunkedDraws:
+    def test_one_call_equals_scalar_and_split_calls(self):
+        # run_with_generator reads its k uniforms with one random(k) call;
+        # k up to 60 crosses many 4-word Philox blocks
+        gen = np.random.default_rng(20261018)
+        for k in range(1, 61):
+            seed = int(gen.integers(0, 2**64, dtype=np.uint64))
+            domain = int(gen.integers(0, 1 << 16))
+            index = int(gen.integers(0, 2**48))
+            whole = rng.stream(seed, domain, index).random(k)
+            one = rng.stream(seed, domain, index)
+            np.testing.assert_array_equal(whole, [one.random() for _ in range(k)])
+            cut = int(gen.integers(0, k + 1))
+            two = rng.stream(seed, domain, index)
+            np.testing.assert_array_equal(
+                whole, np.concatenate([two.random(cut), two.random(k - cut)])
+            )
+            if k == 8:
+                three = rng.stream(seed, domain, index)
+                np.testing.assert_array_equal(
+                    whole, np.concatenate([three.random(3), three.random(5)])
+                )
+
+
 class TestStreamKeys:
     def test_seeds_above_2_63_do_not_alias(self):
         a = rng.stream(2**63, rng.BIPARTITE, 0).random(4)
@@ -123,15 +148,28 @@ class TestStreamKeys:
             )
 
 
-def test_bipartite_path_never_imports_numpy_random():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--what", "bipartite", "--a", "10", "--b", "20", "--k", "3",
+         "--trials", "2000"],
+        # the chain full path on a host too dense for --p, as in test_golden
+        ["estimate", "--what", "chain", "--input", "HOST", "--p", "0.05", "--seed",
+         "5", "--i", "1", "--j", "2", "--u", "0", "--v", "5", "--trials", "300"],
+    ],
+    ids=["bipartite", "chain-full"],
+)
+def test_path_never_imports_numpy_random(argv, tmp_path):
+    host = tmp_path / "host.txt"
+    host.write_text(to_edge_list(gnp_sample(40, 0.9, 1)))
+    argv = [str(host) if a == "HOST" else a for a in argv]
     code = (
         "import contextlib, io, sys\n"
         "import greedycover.rng\n"
         "assert 'numpy.random' not in sys.modules, 'imported by the package'\n"
         "from greedycover.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['estimate', '--what', 'bipartite', '--a', '10', '--b', '20',\n"
-        "          '--k', '3', '--trials', '2000'])\n"
+        f"    assert main({argv!r}) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
     out = subprocess.run(
