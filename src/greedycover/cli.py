@@ -210,7 +210,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     sp = subs.add_parser("bounds", help="evaluate parameter and budget formulas")
     sp.add_argument("--n", type=int, required=True)
     _add_param_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--c-eps", type=float, default=1.0, dest="c_eps")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out")
@@ -289,6 +288,8 @@ def _validate(
                 parser.error("--what bipartite requires --a --b --k")
         if cfg.what == "uniform" and cfg.k is None:
             parser.error("--what uniform requires --k")
+        if cfg.what == "uniform" and cfg.input is not None and cfg.p is not None:
+            parser.error("--p does not apply to estimate (uniform) with --input")
     if cfg.format == "csv":
         flat = (sub == "run" and cfg.trials == 1) or (
             sub == "estimate" and cfg.what in ("membership", "pair")

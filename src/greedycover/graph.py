@@ -176,12 +176,17 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+# Draws per block of `gnp_sample` (128 KB of uniforms).
+_GNP_BLOCK = 1 << 14
+
+
 def gnp_sample(n: int, p: float, seed: int) -> Graph:
     """Sample G(n, p): each of the C(n,2) pairs is an edge with probability p.
 
-    The strict upper triangle is filled pair-by-pair in row-major order from
-    the Philox stream keyed by (seed, GRAPH domain), so the same seed gives
-    the same graph regardless of how the draws are batched or parallelized.
+    Pair t of the strict upper triangle in row-major order is an edge iff
+    uniform t of the stream (seed, GRAPH) is below p, so the same seed gives
+    the same graph however the draws are batched.  The draws are read in
+    bounded blocks and each block's edges are scattered into packed rows.
 
     Args:
         n: number of vertices (>= 0).
@@ -194,21 +199,22 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     w = max((n + 7) // 8, 1)
     packed = np.zeros((max(n, 1), w), dtype=np.uint8)
+    # pair (u, v), u < v, reads draw starts[u] + v - u - 1 of the stream
+    vs = np.arange(n, dtype=np.int64)
+    starts = vs * (n - 1) - vs * (vs - 1) // 2
     gen = _rng.stream(seed, _rng.GRAPH)
-    rowbits = np.zeros(n, dtype=np.uint8)
-    for u in range(n - 1):
-        draws = gen.random(n - 1 - u)
-        hits = draws < p
-        rowbits[:] = 0
-        rowbits[u + 1 :] = hits
-        packed[u] |= np.packbits(rowbits, bitorder="little")[:w]
-        cols = np.nonzero(hits)[0] + u + 1
-        if cols.size:
-            packed[cols, u >> 3] |= np.uint8(1 << (u & 7))
+    total = n * (n - 1) // 2
+    edge_count = 0
+    for first in range(0, total, _GNP_BLOCK):
+        hit = np.flatnonzero(gen.random(min(_GNP_BLOCK, total - first)) < p) + first
+        u = np.searchsorted(starts, hit, side="right") - 1
+        v = hit - starts[u] + u + 1
+        np.bitwise_or.at(packed, (u, v >> 3), np.left_shift(1, v & 7).astype(np.uint8))
+        np.bitwise_or.at(packed, (v, u >> 3), np.left_shift(1, u & 7).astype(np.uint8))
+        edge_count += hit.size
     rows = tuple(
         int.from_bytes(packed[v].tobytes(), "little") for v in range(n)
     )
-    edge_count = sum(r.bit_count() for r in rows) // 2
     return Graph(n, rows, edge_count)
 
 

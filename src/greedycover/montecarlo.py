@@ -429,7 +429,7 @@ def uniform_independent_set(
         gen = _rng.stream(seed, _rng.UNIFORM_SET, index)
         for _ in range(REJECTION_CAP):
             subset = gen.choice(host.n, size=k, replace=False)
-            vs = VertexSet.from_iterable(host.n, (int(x) for x in subset))
+            vs = VertexSet.from_iterable(host.n, subset)
             if is_independent(host, vs):
                 return vs
         raise ValueError("rejection infeasible after 1e6 attempts; try mode='exact'")

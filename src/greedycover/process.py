@@ -11,13 +11,14 @@ active set as a bit-vector and a numpy degree vector updated incrementally:
 a step gathers the |removed| packed rows that left and unpacks each to n
 bytes, O(|removed| * n) instead of a recomputation from scratch.
 
-`run_with_generator` holds the one step loop: `run` records one trajectory
+`run_draws` holds the one step loop: `run` records one trajectory
 against the analytics envelope, and `increment_diagnostics` derives the
 shifted degree deviations X^-, X^+ of tracked vertices, stopped at
 rho_v = min(tau, sigma_v - 1), from that record with array operations;
 `ensemble_run` aggregates many runs.  All of it is deterministic in
-(host, params, seed): trial t consumes the Philox stream keyed
-(seed, RUN domain, t) and nothing else.  `chunked_map` is the one place
+(host, params, seed): trial t consumes the first k uniforms of the Philox
+stream keyed (seed, RUN domain, t) and nothing else; ensemble chunks read
+them as rows of `rng.trial_rows`.  `chunked_map` is the one place
 that honours a thread count: fixed trial chunks, results in chunk order.
 """
 
@@ -235,17 +236,14 @@ class ProcessRun:
         }
 
 
-def run_with_generator(
-    host: Graph, ps: ParamSet, gen: np.random.Generator, seed: int = -1, index: int = -1
+def run_draws(
+    host: Graph, ps: ParamSet, draws: np.ndarray, seed: int = -1, index: int = -1
 ) -> ProcessRun:
-    """Drive up to k steps (or exhaustion) from an externally-owned stream.
-
-    Reads k uniforms in one `gen.random(k)` call, so `gen` advances by k.
-    """
+    """Drive up to k steps (or exhaustion) from the trial's k uniforms."""
     check_host_n(ps, host)
     state = init(host, ps)
     records: list[StepRecord] = []
-    for u in gen.random(ps.k).tolist():
+    for u in draws.tolist():
         rec = step(state, u)
         if rec is None:
             break
@@ -264,6 +262,16 @@ def run_with_generator(
         sigma=np.where(state.sigma_raw, state.sigma_raw, completed + 1).tolist(),
         completed_steps=completed,
     )
+
+
+def run_with_generator(
+    host: Graph, ps: ParamSet, gen: _rng.Stream, seed: int = -1, index: int = -1
+) -> ProcessRun:
+    """`run_draws` from an externally-owned stream.
+
+    Reads k uniforms in one `gen.random(k)` call, so `gen` advances by k.
+    """
+    return run_draws(host, ps, gen.random(ps.k), seed, index)
 
 
 def run(host: Graph, ps: ParamSet, seed: int, index: int = 0) -> ProcessRun:
@@ -378,6 +386,7 @@ def increment_diagnostics(
     seed: int,
     index: int = 0,
     collect_mq: bool = False,
+    draws: np.ndarray | None = None,
 ) -> IncrementStats:
     """Run once, then derive the X^-/X^+ increments of `tracked` vertices.
 
@@ -386,7 +395,8 @@ def increment_diagnostics(
     state before step j+1, active set {w : sigma_w > j}): m_vj = sum of
     codegrees d_j(u, v) over active u outside v's closed neighbourhood, and
     q_vj = 1 - (d_j(v) + 1) / |V_j|, both exact; entries after v leaves
-    are NaN.
+    are NaN.  A caller that has read the trial's k uniforms already (a
+    row of `rng.trial_rows(seed, RUN, ...)`) passes them as `draws`.
     """
     check_host_n(ps, host)
     if isinstance(tracked, VertexSet):
@@ -396,7 +406,10 @@ def increment_diagnostics(
         if not 0 <= v < host.n:
             raise ValueError(f"tracked vertex {v} out of range")
 
-    prun = run(host, ps, seed, index)
+    if draws is None:
+        prun = run(host, ps, seed, index)
+    else:
+        prun = run_draws(host, ps, draws, seed, index)
     completed = prun.completed_steps
     d_tilde = np.array([expected_degree(ps, 0)] + [r.d_tilde for r in prun.records])
     bound_mean = 3.0 * ps.p * d_tilde[:-1]
@@ -559,8 +572,9 @@ def _ensemble_chunk(
         "dp_sq": 0.0,
         "dn": 0,
     }
-    for t in range(start, stop):
-        stats = increment_diagnostics(host, ps, tracked, seed, index=t)
+    rows = _rng.trial_rows(seed, _rng.RUN, start, stop, k)
+    for t, draws in zip(range(start, stop), rows):
+        stats = increment_diagnostics(host, ps, tracked, seed, index=t, draws=draws)
         prun = stats.run
         live = stats.live
         dm = stats.dx_minus[live]

@@ -29,6 +29,8 @@ from .params import ParamSet, check_host_n, error_f
 from .process import run_with_generator
 
 P3_EXHAUSTIVE_LIMIT = 20000
+# Bytes of packed rows one sampled-mode P3 chunk gathers per operand.
+P3_CHUNK_BYTES = 1 << 22
 
 
 @dataclass
@@ -166,8 +168,10 @@ def check_p3(
 
     if g.n <= P3_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
+        # rows zero-padded to whole uint64 words, popcounted a word at a time
+        words = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8))).view(np.uint64)
         for u in range(g.n - 1):
-            counts = np.bitwise_count(rows[u] & rows[u + 1 :]).sum(
+            counts = np.bitwise_count(words[u] & words[u + 1 :]).sum(
                 axis=1, dtype=np.int64
             )
             pairs += counts.size
@@ -182,7 +186,14 @@ def check_p3(
         us = gen.integers(0, g.n, size=pair_sample)
         vs = gen.integers(0, g.n - 1, size=pair_sample)
         vs = np.where(vs >= us, vs + 1, vs)  # uniform over ordered pairs, u != v
-        counts = np.bitwise_count(rows[us] & rows[vs]).sum(axis=1, dtype=np.int64)
+        # the pairs' rows are gathered a bounded chunk at a time
+        chunk = max(P3_CHUNK_BYTES // rows.shape[1], 1)
+        counts = np.concatenate([
+            np.bitwise_count(rows[us[a : a + chunk]] & rows[vs[a : a + chunk]]).sum(
+                axis=1, dtype=np.int64
+            )
+            for a in range(0, pair_sample, chunk)
+        ])
         pairs = pair_sample
         max_codeg = int(counts.max())
         for idx in np.nonzero(counts > cap)[0]:
@@ -264,7 +275,7 @@ def check_p1(
     for s in range(1, max_size + 1):
         gen = _rng.stream(seed, _rng.SUBSET, s)
         for _ in range(n_uniform):
-            consider(tuple(sorted(int(v) for v in gen.choice(g.n, size=s, replace=False))))
+            consider(tuple(sorted(gen.choice(g.n, size=s, replace=False))))
         for order in orders:
             if len(order) >= s:
                 consider(tuple(sorted(order[:s])))

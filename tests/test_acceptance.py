@@ -53,6 +53,7 @@ from greedycover.process import (
     step,
 )
 from greedycover.typicality import check_p3, is_typical
+from numpy_oracle import numpy_stream
 
 THREADS = 4
 
@@ -77,7 +78,7 @@ def test_criterion_01_process_oracle_equivalence():
         ps = ParamSet(n, p)
         state = init(host, ps)
         prefix: list[int] = []
-        for u in rng.stream(seed, rng.RUN).random(ps.k):
+        for u in numpy_stream(seed, rng.RUN).random(ps.k):
             rec = step(state, u)
             if rec is None:
                 break
@@ -109,7 +110,7 @@ def test_criterion_02_independence_invariant():
         prun = run(host, ps, seed)
         assert is_independent(host, prun.chosen)
         checked += 1
-        draws = rng.stream(seed, rng.RUN, 7).random(ps.k)
+        draws = numpy_stream(seed, rng.RUN, 7).random(ps.k)
         mask = sample_independent_set(host, ps.k, draws)
         assert is_independent(host, VertexSet(n, mask))
         checked += 1

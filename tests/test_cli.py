@@ -115,6 +115,9 @@ class TestParse:
             MEMBERSHIP + ["--i", "2"],
             CHAIN + ["--pair-sample", "5"],
             CHAIN + ["--k", "3"],
+            ["bounds", "--n", "1000", "--p", "0.05", "--seed", "9"],  # never read
+            # p is read only when the host is generated
+            ["estimate", "--what", "uniform", "--input", "g.el", "--p", "0.7", "--k", "3"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

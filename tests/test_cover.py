@@ -24,6 +24,7 @@ from greedycover.cover import (
 from greedycover.graph import Graph, VertexSet, gnp_sample, is_independent, non_edges
 from greedycover.params import ParamSet, bound_formulas
 from greedycover.process import sample_independent_set
+from numpy_oracle import numpy_stream
 
 
 def complete(n):
@@ -138,7 +139,7 @@ class TestPdim:
         for i in range(t):
             raw = [
                 sample_independent_set(
-                    host, ps.k, rng.stream(seed, rng.COVER_PART, i * s + j).random(ps.k)
+                    host, ps.k, numpy_stream(seed, rng.COVER_PART, i * s + j).random(ps.k)
                 )
                 for j in range(s)
             ]

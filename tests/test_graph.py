@@ -7,6 +7,7 @@ neighbor dicts of Python sets, rebuilt from the edge-list text.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from greedycover import (
 )
 from greedycover import rng as grng
 from greedycover.graph import _SYMMETRY_BLOCK, non_edge_count
+from numpy_oracle import numpy_stream
 
 
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -144,10 +146,10 @@ class TestConstructors:
 
     def test_gnp_pair_by_pair_stream_semantics(self):
         # The sampler must consume one uniform per upper-triangle pair in
-        # row-major order; replicate that literally and compare.
-        n, p = 40, 0.23
-        for seed in (0, 1, 9):
-            gen = grng.stream(seed, grng.GRAPH)
+        # row-major order; replicate that literally and compare.  At n = 200
+        # the 19900 draws cross a block of the sampler's reads.
+        for n, p, seed in ((40, 0.23, 0), (40, 0.23, 1), (40, 0.23, 9), (200, 0.05, 2)):
+            gen = numpy_stream(seed, grng.GRAPH)
             rows = [0] * n
             for u in range(n - 1):
                 for v in range(u + 1, n):
@@ -164,6 +166,18 @@ class TestConstructors:
         assert abs(g.edge_count - 24975) < 5 * 154.03
         # Degree of one vertex ~ Binomial(999, 0.05): mean 49.95, sigma 6.89.
         assert abs(g.degree(0) - 49.95) < 5 * 6.89
+
+    def test_gnp_memory_is_bounded(self):
+        # the C(2000, 2) draws are read in bounded blocks; reading them at
+        # once would hold 16 MB of uniforms
+        tracemalloc.start()
+        try:
+            g = gnp_sample(2000, 0.05, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2000 and g.edge_count > 0
+        assert peak <= 1.5e6
 
     def test_gnp_p_validation(self):
         with pytest.raises(ValueError):

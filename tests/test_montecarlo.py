@@ -35,6 +35,7 @@ from greedycover.montecarlo import (
 )
 from greedycover.params import ParamSet
 from greedycover.process import run_with_generator
+from numpy_oracle import numpy_stream
 
 
 def empty_graph(n):
@@ -217,7 +218,7 @@ class TestConditionalChain:
         assert est.path == path
         counts = [trials] + [0] * j
         for t in range(trials):
-            prun = run_with_generator(host, ps, rng.stream(seed, rng.CHAIN, t))
+            prun = run_with_generator(host, ps, numpy_stream(seed, rng.CHAIN, t))
             for step_t in range(1, j + 1):
                 if step_t > prun.completed_steps:
                     break

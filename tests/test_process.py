@@ -24,6 +24,7 @@ from greedycover.process import (
     sample_independent_set,
     step,
 )
+from numpy_oracle import numpy_stream
 
 TOL = 1e-9
 
@@ -76,7 +77,7 @@ class TestStepMechanics:
         ps = ParamSet(60, 0.25)
         state = init(host, ps)
         order = []
-        for u in rng.stream(5, rng.RUN, 0).random(ps.k):
+        for u in numpy_stream(5, rng.RUN, 0).random(ps.k):
             rec = step(state, u)
             if rec is None:
                 break
@@ -224,7 +225,7 @@ class TestLightRunner:
         for host, ps, seed, exhausts in cases:
             full = run(host, ps, seed=seed + 50)
             light = sample_independent_set(
-                host, ps.k, rng.stream(seed + 50, rng.RUN, 0).random(ps.k)
+                host, ps.k, numpy_stream(seed + 50, rng.RUN, 0).random(ps.k)
             )
             assert light == full.chosen.members
             if exhausts:
@@ -233,7 +234,7 @@ class TestLightRunner:
 
     def test_independent_output(self):
         host = gnp_sample(60, 0.2, seed=1)
-        mask = sample_independent_set(host, 10, rng.stream(4, rng.RUN, 0).random(10))
+        mask = sample_independent_set(host, 10, numpy_stream(4, rng.RUN, 0).random(10))
         vs = [v for v in range(60) if mask >> v & 1]
         for i, u in enumerate(vs):
             for v in vs[i + 1:]:

@@ -1,13 +1,17 @@
-"""Streams: key layout and the batched counter-mode evaluation.
+"""Streams: key layout, the Philox kernel and the draw algorithms.
 
-numpy's own Philox Generator is the slow oracle: every row of
-`uniform_rows` must equal `stream(seed, domain, t).random(k)` bit for bit,
-for any seed in [0, 2**64), any domain, any index below 2**48 and any k.
+numpy's own Philox Generator, keyed as the package keys its streams
+(`numpy_oracle.numpy_stream`), is the independent oracle: every row of
+`uniform_rows` must equal its `random(k)` bit for bit, for any seed in
+[0, 2**64), any domain, any index below 2**48 and any k, and the sequential
+`rng.stream` reader must return what it returns for every draw the package
+makes.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -18,6 +22,7 @@ import pytest
 
 from greedycover import rng
 from greedycover.graph import gnp_sample, to_edge_list
+from numpy_oracle import numpy_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,7 +30,7 @@ EDGE_SEEDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
 
 
 def oracle(seed: int, domain: int, start: int, stop: int, k: int) -> np.ndarray:
-    rows = [rng.stream(seed, domain, t).random(k) for t in range(start, stop)]
+    rows = [numpy_stream(seed, domain, t).random(k) for t in range(start, stop)]
     return np.array(rows, dtype=np.float64).reshape(stop - start, k)
 
 
@@ -85,7 +90,7 @@ class TestTrialRows:
         for i in picks:
             t = start + i
             np.testing.assert_array_equal(
-                rows[i], rng.stream(2**63, rng.MEMBERSHIP, t).random(k)
+                rows[i], numpy_stream(2**63, rng.MEMBERSHIP, t).random(k)
             )
         np.testing.assert_array_equal(
             np.array(rows), rng.uniform_rows(2**63, rng.MEMBERSHIP, start, stop, k)
@@ -96,20 +101,22 @@ class TestTrialRows:
         rows = rng.trial_rows(9, rng.COVER_FLAT, 0, 2**48, 4)
         first = [next(rows) for _ in range(rng.BLOCK_COUNTERS + 2)]
         np.testing.assert_array_equal(
-            first[-1], rng.stream(9, rng.COVER_FLAT, rng.BLOCK_COUNTERS + 1).random(4)
+            first[-1], numpy_stream(9, rng.COVER_FLAT, rng.BLOCK_COUNTERS + 1).random(4)
         )
 
 
 class TestChunkedDraws:
     def test_one_call_equals_scalar_and_split_calls(self):
         # run_with_generator reads its k uniforms with one random(k) call;
-        # k up to 60 crosses many 4-word Philox blocks
+        # k up to 60 crosses many 4-word Philox blocks, and the reader's
+        # scalar and split calls must give the same uniforms
         gen = np.random.default_rng(20261018)
         for k in range(1, 61):
             seed = int(gen.integers(0, 2**64, dtype=np.uint64))
             domain = int(gen.integers(0, 1 << 16))
             index = int(gen.integers(0, 2**48))
-            whole = rng.stream(seed, domain, index).random(k)
+            whole = numpy_stream(seed, domain, index).random(k)
+            np.testing.assert_array_equal(rng.stream(seed, domain, index).random(k), whole)
             one = rng.stream(seed, domain, index)
             np.testing.assert_array_equal(whole, [one.random() for _ in range(k)])
             cut = int(gen.integers(0, k + 1))
@@ -148,6 +155,121 @@ class TestStreamKeys:
             )
 
 
+def reader_pair(seed: int = 2**63 + 5, domain: int = rng.SUBSET, index: int = 17):
+    return rng.stream(seed, domain, index), numpy_stream(seed, domain, index)
+
+
+class TestStreamReader:
+    """Each draw of the package's reader against numpy's Generator."""
+
+    def test_split_random_calls(self):
+        gen = np.random.default_rng(20261101)
+        for case in range(40):
+            ours, ref = reader_pair(index=case)
+            for size in gen.integers(0, 23, 6).tolist():
+                np.testing.assert_array_equal(ours.random(size), ref.random(size))
+                assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "span",
+        [1, 2, 3, 7, 1000, 2**31, 3 * 2**30, 3 * 2**30 + 1, 3 * 2**30 + 12345,
+         2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3],
+    )
+    def test_scalar_and_vector_integers(self, span):
+        # span 1 draws nothing; bounds from 3 * 2**30 up to 2**32 - 2 reject
+        # up to a quarter of the 32-bit draws; 2**32 takes raw 32-bit draws
+        # and wider spans take 64-bit words
+        ours, ref = reader_pair(index=span % 4099)
+        for lo in (0, 5):
+            hi = lo + span
+            for size in (None, 1, 4, 9, 301):
+                if size is None:
+                    assert ours.integers(lo, hi) == int(ref.integers(lo, hi))
+                else:
+                    np.testing.assert_array_equal(
+                        ours.integers(lo, hi, size), ref.integers(lo, hi, size=size)
+                    )
+                assert ours.random() == ref.random()
+
+    def test_half_carries_from_odd_vector_call_into_scalar(self):
+        ours, ref = reader_pair()
+        for lo, hi, size in [(0, 100, 3), (0, 100, None), (0, 10, 5), (0, 10, None),
+                             (0, 2**32, 3), (0, 7, None), (0, 1, 4), (2, 9, 1)]:
+            if size is None:
+                assert ours.integers(lo, hi) == int(ref.integers(lo, hi))
+            else:
+                np.testing.assert_array_equal(
+                    ours.integers(lo, hi, size), ref.integers(lo, hi, size=size)
+                )
+            # a 64-bit draw between keeps the unused high half
+            np.testing.assert_array_equal(ours.random(2), ref.random(2))
+
+    def test_full_range_uint64(self):
+        ours, ref = reader_pair(domain=rng.UNIFORM_SET)
+        for hi in [2**64 - 1] * 10 + [2**64] * 10:
+            assert ours.integers(0, hi) == int(ref.integers(0, hi, dtype=np.uint64))
+        # int_stream seeds stdlib Random from the first four draws below 2**64 - 1
+        words = numpy_stream(9, rng.UNIFORM_SET, 4).integers(0, 2**64 - 1, 4, dtype=np.uint64)
+        want = random.Random(int.from_bytes(words.tobytes(), "little"))
+        got = rng.int_stream(9, rng.UNIFORM_SET, 4)
+        assert [got.random() for _ in range(5)] == [want.random() for _ in range(5)]
+
+    @pytest.mark.parametrize(
+        "n,size",
+        [(1, 1), (5, 0), (5, 5), (40, 4), (10000, 9999), (10001, 200), (10001, 201),
+         (20000, 5000), (20000, 20000)],
+    )
+    def test_choice_both_regimes(self, n, size):
+        # Floyd's algorithm, except when size exceeds n // 50 with n > 10000:
+        # (10001, 200) is the last Floyd case, (10001, 201) a tail shuffle
+        ours, ref = reader_pair(index=n + size)
+        for _ in range(3):
+            assert ours.choice(n, size=size, replace=False) == ref.choice(
+                n, size=size, replace=False
+            ).tolist()
+            assert ours.integers(0, 3) == int(ref.integers(0, 3))
+
+    def test_random_call_sequences(self):
+        gen = np.random.default_rng(20261102)
+        spans = [1, 2, 3, 100, 2**31 + 7, 3 * 2**30 + 99, 2**32 - 2, 2**32, 2**32 + 5, 2**41]
+        for case in range(150):
+            seed = int(gen.integers(0, 2**64, dtype=np.uint64))
+            ours, ref = reader_pair(seed, int(gen.integers(0, 12)), int(gen.integers(0, 2**48)))
+            for _ in range(8):
+                kind = int(gen.integers(0, 4))
+                if kind == 0:
+                    k = int(gen.integers(0, 9))
+                    np.testing.assert_array_equal(ours.random(k), ref.random(k))
+                elif kind == 1:
+                    hi = spans[int(gen.integers(0, len(spans)))]
+                    assert ours.integers(0, hi) == int(ref.integers(0, hi))
+                elif kind == 2:
+                    hi = spans[int(gen.integers(0, len(spans)))]
+                    size = int(gen.integers(0, 40))
+                    np.testing.assert_array_equal(
+                        ours.integers(0, hi, size), ref.integers(0, hi, size=size)
+                    )
+                else:
+                    n = [1, 5, 30, 2000, 10001, 20000][int(gen.integers(0, 6))]
+                    size = int(gen.integers(0, min(n, 500) + 1))
+                    assert ours.choice(n, size) == ref.choice(n, size=size, replace=False).tolist()
+
+    def test_validation(self):
+        gen = rng.stream(1, rng.SUBSET)
+        with pytest.raises(ValueError):
+            gen.integers(3, 3)
+        with pytest.raises(ValueError):
+            gen.choice(4, 5)
+        with pytest.raises(ValueError):
+            gen.choice(4, 2, replace=True)
+
+
+COVER = ["cover", "--n", "60", "--p", "0.2", "--mode"]
+RUN = ["run", "--n", "60", "--p", "0.2", "--trials", "40", "--tracked", "3", "--threads"]
+HOSTED = ["--n", "60", "--p", "0.2", "--trials", "300"]
+UNIFORM = ["estimate", "--what", "uniform", "--n", "20", "--p", "0.2", "--k", "3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -156,8 +278,27 @@ class TestStreamKeys:
         # the chain full path on a host too dense for --p, as in test_golden
         ["estimate", "--what", "chain", "--input", "HOST", "--p", "0.05", "--seed",
          "5", "--i", "1", "--j", "2", "--u", "0", "--v", "5", "--trials", "300"],
+        ["gen", "--n", "40", "--p", "0.1"],
+        ["bounds", "--n", "1000", "--p", "0.05"],
+        ["run", "--n", "60", "--p", "0.2"],
+        RUN + ["1"],
+        RUN + ["2"],
+        ["typical", "--n", "60", "--p", "0.2", "--budget", "4"],
+        COVER + ["theta1", "--t", "20"],
+        COVER + ["adaptive"],
+        COVER + ["pdim", "--t", "4"],
+        COVER + ["pdim-adaptive"],
+        ["estimate", "--what", "membership", *HOSTED],
+        ["estimate", "--what", "pair", *HOSTED],
+        ["estimate", "--what", "chain", *HOSTED, "--seed", "3", "--i", "1", "--j", "3",
+         "--u", "0", "--v", "1"],
+        UNIFORM,
+        UNIFORM + ["--sample-mode", "rejection"],
     ],
-    ids=["bipartite", "chain-full"],
+    ids=["bipartite", "chain-full", "gen", "bounds", "run", "ensemble-threads1",
+         "ensemble-threads2", "typical", "cover-theta1", "cover-adaptive", "cover-pdim",
+         "cover-pdim-adaptive", "membership", "pair", "chain-light", "uniform-exact",
+         "uniform-rejection"],
 )
 def test_path_never_imports_numpy_random(argv, tmp_path):
     host = tmp_path / "host.txt"
@@ -180,3 +321,10 @@ def test_path_never_imports_numpy_random(argv, tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_never_names_numpy_random():
+    # the package owns every draw; numpy's Generator is a test oracle only
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path.name

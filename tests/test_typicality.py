@@ -8,9 +8,11 @@ deliberately avoiding the graph-core operator.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
+from greedycover import rng, typicality
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f
 from greedycover.typicality import (
@@ -20,6 +22,7 @@ from greedycover.typicality import (
     e_table,
     is_typical,
 )
+from numpy_oracle import numpy_stream
 
 TOL = 1e-12
 
@@ -143,6 +146,48 @@ class TestP3:
         assert frag.mode == "sampled"
         assert frag.pairs_tested == 5000
         assert frag.max_codegree == 0 and frag.violations == []
+
+
+    def test_sampled_mode_matches_oracle_across_chunks(self, monkeypatch):
+        # the draws, counts and violation order of the sampled scan, with
+        # chunks of a few pairs, against numpy's Generator and set codegrees;
+        # the cap is below almost every codegree, so the violation list
+        # checks almost every pair
+        monkeypatch.setattr(typicality, "P3_EXHAUSTIVE_LIMIT", 50)
+        monkeypatch.setattr(typicality, "P3_CHUNK_BYTES", 64)
+        g = gnp_sample(120, 0.3, seed=4)
+        ps = ParamSet(120, 0.3)
+        factor = 0.001
+        frag = check_p3(g, ps, strict_factor=factor, seed=6, pair_sample=3001)
+        gen = numpy_stream(6, rng.P3_SAMPLE)
+        us = gen.integers(0, 120, size=3001)
+        vs = gen.integers(0, 119, size=3001)
+        nbr = [set(g.neighbors(v)) for v in range(120)]
+        counts = []
+        for u, v in zip(us.tolist(), vs.tolist()):
+            v += v >= u
+            counts.append((min(u, v), max(u, v), len(nbr[u] & nbr[v])))
+        want = [c for c in counts if c[2] > factor * ps.delta2]
+        assert want, "test host must produce violations at this factor"
+        assert frag.mode == "sampled" and frag.pairs_tested == 3001
+        assert frag.violations == want
+        assert frag.max_codegree == max(c[2] for c in counts)
+
+    def test_sampled_mode_memory_is_bounded(self):
+        # 20000 pairs of 2501-byte rows: gathering both operands at once
+        # would take 100 MB
+        n = 20001
+        g = complete_bipartite(10000, 10001)
+        g.packed_rows()  # the host's own rows are not the check's memory
+        tracemalloc.start()
+        try:
+            frag = check_p3(g, ParamSet(n, 0.5), seed=3, pair_sample=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frag.mode == "sampled" and frag.pairs_tested == 20000
+        assert frag.max_codegree == 10001
+        assert peak < 32e6
 
 
 class TestP1:
