@@ -49,8 +49,9 @@ SCHEMA_VERSION = 1
 class RunConfig:
     """Normalized flags for one invocation; echoed verbatim in reports.
 
-    Fields not applicable to the subcommand stay None, so every report
-    carries the same key set and sorts identically.
+    Every report carries the same key set.  A flag that the subcommand lacks
+    keeps the default given here, which the golden digests pin (`bounds`
+    echoes "seed": 0, `gen` "k_coef": 0.5), so FLAGS cannot supply it.
     """
 
     subcommand: str
@@ -91,19 +92,126 @@ class RunConfig:
         return asdict(self)
 
 
-def _add_host_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", help="edge-list file; mutually exclusive with --n")
-    sp.add_argument("--n", type=int, help="generate a G(n, p) host instead")
+# The paths of each subcommand: run's trial count, cover's --mode and
+# estimate's --what.  A single-path subcommand's path is its own name, so
+# every path name is unique.
+PATHS = {
+    "gen": ("gen",),
+    "run": ("trajectory", "ensemble"),
+    "typical": ("typical",),
+    "cover": ("theta1", "pdim", "adaptive", "pdim-adaptive"),
+    "estimate": ("membership", "pair", "chain", "bipartite", "uniform"),
+    "bounds": ("bounds",),
+}
+_HELP = {
+    "gen": "sample a G(n, p) host as edge-list text",
+    "run": "run the process; report trajectories",
+    "typical": "check a host against the three properties",
+    "cover": "build a non-edge cover and verify it",
+    "estimate": "Monte Carlo estimators",
+    "bounds": "evaluate parameter and budget formulas",
+}
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, help="density parameter in (0, 1)")
-    sp.add_argument("--k-coef", type=float, default=0.5, dest="k_coef")
-    sp.add_argument(
-        "--epsilon",
-        type=float,
-        help="overrides --k-coef with epsilon/1024 (asymptotic coefficient)",
-    )
+def _every(*subs: str) -> set[str]:
+    """All paths of the named subcommands."""
+    return {path for sub in subs for path in PATHS[sub]}
+
+
+class Flag:
+    """One CLI flag: the paths that read it, the paths that require it, its
+    smallest accepted value, its help and its other argparse keywords.
+
+    A subcommand has the flag iff one of its paths reads it.
+    """
+
+    def __init__(self, reads, needs=frozenset(), floor=None, help="", **kwargs):
+        self.reads = reads
+        self.needs = needs
+        self.floor = floor
+        self.help = help
+        self.kwargs = kwargs
+
+
+_GREEDY = {"membership", "pair", "chain"}
+_POOLED = {"membership", "pair"}
+_HOSTS = _every("run", "typical", "cover") | _GREEDY | {"uniform"}  # load a host
+_SIZED = _HOSTS | {"gen", "bounds"}  # read --n and --p
+_PARAMS = _SIZED - {"gen", "uniform"}  # build a ParamSet
+_FIXED = {"theta1", "pdim"}
+_PDIM = {"pdim", "pdim-adaptive"}
+_ADAPTIVE = {"adaptive", "pdim-adaptive"}
+_SETS = {"bipartite", "uniform"}
+
+# Each flag once, keyed by its RunConfig field (--k-coef is k_coef).
+FLAGS = {
+    "what": Flag(_every("estimate"), choices=PATHS["estimate"], default="membership"),
+    "input": Flag(_HOSTS, help="edge-list file; mutually exclusive with --n"),
+    "n": Flag(_SIZED, {"gen", "bounds"}, type=int, help="vertex count of G(n, p)"),
+    "p": Flag(
+        _SIZED, _PARAMS | {"gen"}, type=float, help="density parameter in (0, 1)"
+    ),
+    "k_coef": Flag(_PARAMS, type=float, default=0.5),
+    "epsilon": Flag(
+        _PARAMS, type=float, help="k coefficient epsilon/1024; excludes --k-coef"
+    ),
+    "seed": Flag(_every(*PATHS) - {"bounds"}, type=int, default=0),
+    "trials": Flag(_every("run") | _GREEDY | {"bipartite"}, floor=1, type=int),
+    "tracked": Flag(
+        {"ensemble"},
+        floor=0,
+        type=int,
+        default=0,
+        help="track increments for vertices 0..TRACKED-1",
+    ),
+    "threads": Flag({"ensemble"} | _POOLED, floor=1, type=int, default=1),
+    "budget": Flag({"typical"}, floor=1, type=int, default=20),
+    "max_size": Flag({"typical"}, floor=1, type=int),
+    "strict_factor": Flag({"typical"}, type=float, default=1.0),
+    "strict": Flag(
+        _every("typical", "cover"),
+        action="store_true",
+        help="exit 1 when the host is not typical or a non-edge is uncovered",
+    ),
+    "mode": Flag(
+        _every("cover"),
+        choices=PATHS["cover"],
+        default="adaptive",
+        help="fixed-budget flat/partition cover, or adaptive variants",
+    ),
+    "t": Flag(
+        _FIXED, _FIXED, floor=1, type=int, help="set/partition count"
+    ),
+    "s": Flag(_PDIM, floor=1, type=int, help="sets per partition"),
+    "max_t": Flag(_ADAPTIVE, floor=1, type=int, help="adaptive cap"),
+    "include_sets": Flag(
+        _every("cover"),
+        action="store_true",
+        help="embed full set memberships in the report",
+    ),
+    "pair_sample": Flag(_POOLED, floor=0, type=int, default=200),
+    "i": Flag({"chain"}, {"chain"}, type=int, help="first special step"),
+    "j": Flag({"chain"}, {"chain"}, type=int, help="second special step"),
+    "u": Flag({"chain"}, {"chain"}, type=int, help="vertex chosen at step i"),
+    "v": Flag({"chain"}, {"chain"}, type=int, help="vertex chosen at step j"),
+    "a": Flag({"bipartite"}, {"bipartite"}, type=int, help="first class size"),
+    "b": Flag({"bipartite"}, {"bipartite"}, type=int, help="second class size"),
+    "k": Flag(_SETS, _SETS, floor=1, type=int, help="set size"),
+    "index": Flag({"uniform"}, floor=0, type=int, default=0, help="draw index"),
+    "sample_mode": Flag(
+        {"uniform"},
+        choices=["exact", "rejection"],
+        default="exact",
+        help="uniform-set sampling strategy",
+    ),
+    "c_eps": Flag({"bounds"}, type=float, default=1.0),
+    "format": Flag(_every(*PATHS) - {"gen"}, choices=["json", "csv"], default="json"),
+    "out": Flag(_every(*PATHS)),
+}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -117,134 +225,20 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("gen", help="sample a G(n, p) host as edge-list text")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-
-    sp = subs.add_parser("run", help="run the process; report trajectories")
-    _add_host_flags(sp)
-    _add_param_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument(
-        "--tracked",
-        type=int,
-        default=0,
-        help="track increments for vertices 0..TRACKED-1 (ensemble only)",
-    )
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
-
-    sp = subs.add_parser("typical", help="check a host against the three properties")
-    _add_host_flags(sp)
-    _add_param_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=20)
-    sp.add_argument("--max-size", type=int, dest="max_size")
-    sp.add_argument("--strict-factor", type=float, default=1.0, dest="strict_factor")
-    sp.add_argument(
-        "--strict", action="store_true", help="exit 1 when the host is not typical"
-    )
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
-
-    sp = subs.add_parser("cover", help="build a non-edge cover and verify it")
-    _add_host_flags(sp)
-    _add_param_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--mode",
-        choices=["theta1", "pdim", "adaptive", "pdim-adaptive"],
-        default="adaptive",
-        help="fixed-budget flat/partition cover, or adaptive variants",
-    )
-    sp.add_argument("--t", type=int, help="set/partition count for fixed modes")
-    sp.add_argument("--s", type=int, help="sets per partition (pdim modes)")
-    sp.add_argument("--max-t", type=int, dest="max_t", help="adaptive cap")
-    sp.add_argument(
-        "--strict", action="store_true", help="exit 1 if any non-edge is uncovered"
-    )
-    sp.add_argument(
-        "--include-sets",
-        action="store_true",
-        dest="include_sets",
-        help="embed full set memberships in the report",
-    )
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
-
-    sp = subs.add_parser("estimate", help="Monte Carlo estimators")
-    sp.add_argument(
-        "--what",
-        choices=["membership", "pair", "chain", "bipartite", "uniform"],
-        default="membership",
-    )
-    _add_host_flags(sp)
-    _add_param_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10_000)
-    sp.add_argument("--pair-sample", type=int, default=200, dest="pair_sample")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--i", type=int, help="first special step (chain)")
-    sp.add_argument("--j", type=int, help="second special step (chain)")
-    sp.add_argument("--u", type=int, help="vertex chosen at step i (chain)")
-    sp.add_argument("--v", type=int, help="vertex chosen at step j (chain)")
-    sp.add_argument("--a", type=int, help="first class size (bipartite)")
-    sp.add_argument("--b", type=int, help="second class size (bipartite)")
-    sp.add_argument("--k", type=int, help="set size (bipartite, uniform)")
-    sp.add_argument("--index", type=int, default=0, help="draw index (uniform)")
-    sp.add_argument(
-        "--sample-mode",
-        choices=["exact", "rejection"],
-        default="exact",
-        dest="sample_mode",
-        help="uniform-set sampling strategy",
-    )
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
-
-    sp = subs.add_parser("bounds", help="evaluate parameter and budget formulas")
-    sp.add_argument("--n", type=int, required=True)
-    _add_param_flags(sp)
-    sp.add_argument("--c-eps", type=float, default=1.0, dest="c_eps")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
+    for sub, paths in PATHS.items():
+        sp = subs.add_parser(sub, help=_HELP[sub])
+        for name, flag in FLAGS.items():
+            reads = [path for path in paths if path in flag.reads]
+            if reads:
+                note = f" ({', '.join(reads)})" if len(reads) < len(paths) else ""
+                sp.add_argument(_option(name), help=flag.help + note, **flag.kwargs)
+    subs.choices["run"].set_defaults(trials=1)
+    subs.choices["estimate"].set_defaults(trials=10_000)
 
     ns = parser.parse_args(argv)
-    cfg = RunConfig(
-        **{k: v for k, v in vars(ns).items() if k in RunConfig.__dataclass_fields__}
-    )
+    cfg = RunConfig(**vars(ns))
     _validate(parser, subs.choices[cfg.subcommand], cfg)
     return cfg
-
-
-# The paths of each subcommand that read a flag.  The path is run's trial
-# count, cover's --mode and estimate's --what; a flag set away from its
-# default on any other path would be ignored yet echoed in `config`.
-_HOSTED = {"membership", "pair", "chain", "uniform"}
-_GREEDY = {"membership", "pair", "chain"}
-_APPLIES = {
-    "run": dict.fromkeys(("tracked", "threads"), {"ensemble"}),
-    "cover": {
-        "t": {"theta1", "pdim"},
-        "max_t": {"adaptive", "pdim-adaptive"},
-        "s": {"pdim", "pdim-adaptive"},
-    },
-    "estimate": {
-        **dict.fromkeys(("input", "n", "p"), _HOSTED),
-        **dict.fromkeys(("k_coef", "epsilon"), _GREEDY),
-        "trials": _GREEDY | {"bipartite"},
-        **dict.fromkeys(("pair_sample", "threads"), {"membership", "pair"}),
-        **dict.fromkeys(("i", "j", "u", "v"), {"chain"}),
-        **dict.fromkeys(("a", "b"), {"bipartite"}),
-        "k": {"bipartite", "uniform"},
-        **dict.fromkeys(("index", "sample_mode"), {"uniform"}),
-    },
-}
 
 
 def _validate(
@@ -256,62 +250,38 @@ def _validate(
         "run": "trajectory" if cfg.trials == 1 else "ensemble",
         "cover": cfg.mode,
         "estimate": cfg.what,
-    }.get(sub)
-    for name, paths in _APPLIES.get(sub, {}).items():
-        if path not in paths and getattr(cfg, name) != sub_parser.get_default(name):
-            flag = "--" + name.replace("_", "-")
-            parser.error(f"{flag} does not apply to this {sub} ({path})")
-    needs_host = sub in ("run", "typical", "cover") or (
-        sub == "estimate" and cfg.what in _HOSTED
-    )
-    if needs_host:
-        if cfg.input is not None and cfg.n is not None:
-            parser.error("--input and --n are mutually exclusive")
+    }.get(sub, sub)
+    where = sub if path == sub else f"{sub} ({path})"
+
+    def is_set(name: str) -> bool:
+        return getattr(cfg, name) != sub_parser.get_default(name)
+
+    missing = []
+    for name, flag in FLAGS.items():
+        if flag.reads.isdisjoint(PATHS[sub]):
+            continue
+        value = getattr(cfg, name)
+        if path not in flag.reads and is_set(name):
+            parser.error(f"{_option(name)} does not apply to {where}")
+        if path in flag.needs and value is None:
+            missing.append(_option(name))
+        if flag.floor is not None and value is not None and value < flag.floor:
+            parser.error(f"{_option(name)} must be >= {flag.floor}")
+    if missing:
+        parser.error(f"{where} requires {' '.join(missing)}")
+    for first, second in (("input", "n"), ("k_coef", "epsilon")):
+        if is_set(first) and is_set(second):
+            parser.error(f"{_option(first)} and {_option(second)} exclude each other")
+    if path in _HOSTS:
         if cfg.input is None and cfg.n is None:
-            parser.error(f"{sub} needs a host: pass --input or --n")
-    needs_p = sub in ("run", "typical", "cover", "bounds") or (
-        sub == "estimate" and cfg.what in _GREEDY
-    )
-    if needs_p and cfg.p is None:
-        parser.error(f"{sub} requires --p")
-    if sub == "estimate":
-        if cfg.what == "chain":
-            missing = [
-                f"--{name}"
-                for name in ("i", "j", "u", "v")
-                if getattr(cfg, name) is None
-            ]
-            if missing:
-                parser.error(f"--what chain requires {' '.join(missing)}")
-        if cfg.what == "bipartite":
-            if cfg.a is None or cfg.b is None or cfg.k is None:
-                parser.error("--what bipartite requires --a --b --k")
-        if cfg.what == "uniform" and cfg.k is None:
-            parser.error("--what uniform requires --k")
-        if cfg.what == "uniform" and cfg.input is not None and cfg.p is not None:
-            parser.error("--p does not apply to estimate (uniform) with --input")
-    if cfg.format == "csv":
-        flat = (sub == "run" and cfg.trials == 1) or (
-            sub == "estimate" and cfg.what in ("membership", "pair")
+            parser.error(f"{where} needs a host: pass --input or --n")
+        if path == "uniform" and (cfg.input is None) == (cfg.p is None):
+            parser.error("estimate (uniform) reads --p iff it generates the host")
+    if cfg.format == "csv" and path not in ("trajectory", "membership", "pair"):
+        parser.error(
+            "CSV is lossy and limited to flat tables: run --trials 1 "
+            "or estimate --what membership/pair; use JSON here"
         )
-        if not flat:
-            parser.error(
-                "CSV is lossy and limited to flat tables: run --trials 1 "
-                "or estimate --what membership/pair; use JSON here"
-            )
-    if sub == "cover":
-        if cfg.mode in ("theta1", "pdim") and cfg.t is None:
-            parser.error(f"cover --mode {cfg.mode} requires --t")
-    if needs_host and cfg.input is None and cfg.p is None:
-        parser.error("generating a host requires --p")
-    for name in ("trials", "budget", "t", "s", "max_t", "max_size", "k", "threads"):
-        val = getattr(cfg, name)
-        if val is not None and val < 1:
-            parser.error(f"--{name.replace('_', '-')} must be >= 1")
-    for name in ("tracked", "pair_sample", "index"):
-        val = getattr(cfg, name)
-        if val is not None and val < 0:
-            parser.error(f"--{name.replace('_', '-')} must be >= 0")
     if cfg.c_eps is not None and cfg.c_eps <= 0:
         parser.error("--c-eps must be positive")
     if cfg.strict_factor is not None and not 0 < cfg.strict_factor <= 1:
@@ -319,10 +289,7 @@ def _validate(
 
 
 class _SetupError(Exception):
-    """Bad config-derived values (parameter ranges, malformed input files).
-
-    Reported as usage errors: exit code 2.
-    """
+    """Bad config-derived values (parameter ranges, malformed input files): exit 2."""
 
 
 def _load_host(cfg: RunConfig) -> Graph:
@@ -396,31 +363,28 @@ def _membership_csv(rep) -> str:
     return _csv_table(header, rows)
 
 
-def _execute_gen(cfg: RunConfig) -> int:
+# Each executor returns (body, note, exit code).  The body is the payload text
+# (an edge list or a CSV table) or the dict the JSON document adds to `config`.
+
+
+def _execute_gen(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
-    _emit(
-        cfg,
-        to_edge_list(host) + "\n",
-        f"gen: n={host.n} p={cfg.p} seed={cfg.seed} edges={host.edge_count}",
-    )
-    return 0
+    note = f"gen: n={host.n} p={cfg.p} seed={cfg.seed} edges={host.edge_count}"
+    return to_edge_list(host) + "\n", note, 0
 
 
-def _execute_run(cfg: RunConfig) -> int:
+def _execute_run(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
     ps = _params(cfg, host.n)
     if cfg.trials == 1:
         prun = run(host, ps, cfg.seed)
-        if cfg.format == "csv":
-            payload = _run_records_csv(prun)
-        else:
-            payload = _json_payload(cfg, {"run": prun.to_dict()})
         note = (
             f"run: completed {prun.completed_steps}/{ps.k} steps,"
             f" tau={prun.tau}, set_size={prun.chosen.size}"
         )
-        _emit(cfg, payload, note)
-        return 0
+        if cfg.format == "csv":
+            return _run_records_csv(prun), note, 0
+        return {"run": prun.to_dict()}, note, 0
     summary = ensemble_run(
         host,
         ps,
@@ -429,13 +393,11 @@ def _execute_run(cfg: RunConfig) -> int:
         tracked=tuple(range(cfg.tracked)),
         threads=cfg.threads,
     )
-    payload = _json_payload(cfg, {"ensemble": summary.to_dict()})
     note = f"run: {cfg.trials} trials, violation_runs={summary.violation_runs}"
-    _emit(cfg, payload, note)
-    return 0
+    return {"ensemble": summary.to_dict()}, note, 0
 
 
-def _execute_typical(cfg: RunConfig) -> int:
+def _execute_typical(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
     ps = _params(cfg, host.n)
     report = is_typical(
@@ -450,13 +412,11 @@ def _execute_typical(cfg: RunConfig) -> int:
         "host": {"n": host.n, "edges": host.edge_count},
         "typicality": report.to_dict(),
     }
-    _emit(cfg, _json_payload(cfg, body), f"typical: {report.typical}")
-    if cfg.strict and not report.typical:
-        return 1
-    return 0
+    code = 1 if cfg.strict and not report.typical else 0
+    return body, f"typical: {report.typical}", code
 
 
-def _execute_cover(cfg: RunConfig) -> int:
+def _execute_cover(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
     ps = _params(cfg, host.n)
     adaptive_count = None
@@ -482,39 +442,32 @@ def _execute_cover(cfg: RunConfig) -> int:
         body["adaptive_count"] = adaptive_count
     if cfg.include_sets:
         body["cover"] = cover.to_dict()
-    _emit(
-        cfg,
-        _json_payload(cfg, body),
+    note = (
         f"cover: mode={cfg.mode} sets={report.total_sets}"
-        f" covered_fraction={report.covered_fraction}",
+        f" covered_fraction={report.covered_fraction}"
     )
-    if cfg.strict and report.uncovered:
-        return 1
-    return 0
+    return body, note, 1 if cfg.strict and report.uncovered else 0
 
 
-def _execute_estimate(cfg: RunConfig) -> int:
+def _execute_estimate(cfg: RunConfig) -> tuple:
     if cfg.what == "bipartite":
         rep = bipartite_comparison(cfg.a, cfg.b, cfg.k, cfg.trials, cfg.seed)
         note = f"estimate: bipartite ratio_exact={rep.ratio_exact}"
-        _emit(cfg, _json_payload(cfg, {"bipartite": rep.to_dict()}), note)
-        return 0
+        return {"bipartite": rep.to_dict()}, note, 0
     host = _load_host(cfg)
     if cfg.what == "uniform":
         vs = uniform_independent_set(
             host, cfg.k, seed=cfg.seed, index=cfg.index, mode=cfg.sample_mode
         )
         body = {"uniform_set": {"members": vs.to_list(), "size": vs.size}}
-        _emit(cfg, _json_payload(cfg, body), f"estimate: uniform set size={vs.size}")
-        return 0
+        return body, f"estimate: uniform set size={vs.size}", 0
     ps = _params(cfg, host.n)
     if cfg.what == "chain":
         est = estimate_conditional_chain(
             host, ps, cfg.i, cfg.j, cfg.u, cfg.v, cfg.trials, cfg.seed
         )
         note = f"estimate: chain joint_freq={est.joint_freq}"
-        _emit(cfg, _json_payload(cfg, {"chain": est.to_dict()}), note)
-        return 0
+        return {"chain": est.to_dict()}, note, 0
     rep = estimate_membership(
         host,
         ps,
@@ -523,24 +476,20 @@ def _execute_estimate(cfg: RunConfig) -> int:
         pair_sample=cfg.pair_sample,
         threads=cfg.threads,
     )
-    payload = (
-        _membership_csv(rep)
-        if cfg.format == "csv"
-        else _json_payload(cfg, {"membership": rep.to_dict()})
-    )
-    _emit(cfg, payload, f"estimate: {cfg.what} trials={cfg.trials}")
-    return 0
+    note = f"estimate: {cfg.what} trials={cfg.trials}"
+    if cfg.format == "csv":
+        return _membership_csv(rep), note, 0
+    return {"membership": rep.to_dict()}, note, 0
 
 
-def _execute_bounds(cfg: RunConfig) -> int:
+def _execute_bounds(cfg: RunConfig) -> tuple:
     ps = _params(cfg, cfg.n)
     body = {
         "params": ps.to_dict(),
         "bounds": bound_formulas(ps, c_eps=cfg.c_eps),
         "envelope": [envelope(ps, i).to_dict() for i in range(ps.k + 1)],
     }
-    _emit(cfg, _json_payload(cfg, body), f"bounds: k={ps.k}")
-    return 0
+    return body, f"bounds: k={ps.k}", 0
 
 
 _EXECUTORS = {
@@ -556,16 +505,15 @@ _EXECUTORS = {
 def execute(cfg: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit code."""
     try:
-        return _EXECUTORS[cfg.subcommand](cfg)
+        body, note, code = _EXECUTORS[cfg.subcommand](cfg)
+        _emit(cfg, body if isinstance(body, str) else _json_payload(cfg, body), note)
+        return code
     except _SetupError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # domain errors from the library at runtime (infeasible chain pair,
-        # no independent k-set, rejection cap, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # no independent k-set, rejection cap, ...) and I/O errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, non_edge_count, non_edges
+from .graph import Graph, VertexSet, first_edge_inside, non_edge_count, non_edges
 from .params import ParamSet, bound_formulas, check_host_n
 from .process import sample_independent_set
 
@@ -220,19 +220,6 @@ def build_pdim_adaptive(
     return PartitionCover(partitions=partitions, host_n=host.n), len(partitions)
 
 
-def _first_edge_inside(host: Graph, mask: int) -> tuple[int, int] | None:
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        inside = host.row(v) & mask
-        if inside:
-            u = (inside & -inside).bit_length() - 1
-            return tuple(sorted((v, u)))
-    return None
-
-
 def verify_cover(
     host: Graph,
     cover: Cover | PartitionCover,
@@ -271,7 +258,7 @@ def verify_cover(
     for name, vs in labeled:
         if vs.n != host.n:
             raise ValueError(f"{name} is for a different host size")
-        edge = _first_edge_inside(host, vs.members)
+        edge = first_edge_inside(host, vs.members)
         if edge is not None:
             raise CoverStructureError(f"{name} contains edge {edge}")
 

@@ -324,18 +324,26 @@ def codegree(g: Graph, u: int, v: int) -> int:
     return (g.row(u) & g.row(v)).bit_count()
 
 
+def first_edge_inside(g: Graph, mask: int) -> tuple[int, int] | None:
+    """The lexicographically least edge (u, v), u < v, of g inside the vertex
+    mask, or None when the mask is independent."""
+    m = mask
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        inside = g.row(u) & mask
+        if inside:
+            # u is the least member with a neighbour in the mask, so v > u
+            return u, (inside & -inside).bit_length() - 1
+    return None
+
+
 def is_independent(g: Graph, s: VertexSet) -> bool:
     """True iff no edge of g has both endpoints in s."""
     if s.n != g.n:
         raise ValueError("vertex set is for a different n")
-    m = s.members
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if g.row(v) & s.members:
-            return False
-        m ^= low
-    return True
+    return first_edge_inside(g, s.members) is None
 
 
 def non_edge_count(g: Graph) -> int:

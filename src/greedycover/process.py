@@ -541,7 +541,9 @@ def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     if threads > 1 and len(jobs) > 1:
         from concurrent import futures
 
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool forks all its workers at the first submit, so ask for no
+        # more workers than there are chunks
+        with futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
 

@@ -7,6 +7,8 @@ end to end.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -14,7 +16,7 @@ import sys
 
 import pytest
 
-from greedycover.cli import main, parse_args
+from greedycover.cli import FLAGS, PATHS, execute, main, parse_args
 from greedycover.cover import build_theta1_adaptive, verify_cover
 from greedycover.graph import (
     Graph,
@@ -118,6 +120,9 @@ class TestParse:
             ["bounds", "--n", "1000", "--p", "0.05", "--seed", "9"],  # never read
             # p is read only when the host is generated
             ["estimate", "--what", "uniform", "--input", "g.el", "--p", "0.7", "--k", "3"],
+            # --epsilon replaces the k coefficient, so --k-coef would be ignored
+            ["bounds", "--n", "100000", "--p", "0.001", "--k-coef", "0.7",
+             "--epsilon", "0.5"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -128,6 +133,96 @@ class TestParse:
     @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN, UNIFORM, MEMBERSHIP])
     def test_path_flags_at_defaults_are_accepted(self, argv):
         assert parse_args(argv).subcommand == "estimate"
+
+
+# One small invocation per path, and a value for every flag that a path
+# reads: setting the flag must change the outcome of the invocation.
+PATH_BASES = {
+    "gen": ["gen", "--n", "30", "--p", "0.2"],
+    "trajectory": ["run", "--n", "40", "--p", "0.2"],
+    "ensemble": ["run", "--n", "40", "--p", "0.2", "--trials", "4"],
+    "typical": ["typical", "--n", "40", "--p", "0.2", "--budget", "2"],
+    "theta1": ["cover", "--n", "30", "--p", "0.2", "--mode", "theta1", "--t", "5"],
+    "pdim": ["cover", "--n", "30", "--p", "0.2", "--mode", "pdim", "--t", "2"],
+    "adaptive": ["cover", "--n", "30", "--p", "0.2", "--mode", "adaptive"],
+    "pdim-adaptive": ["cover", "--n", "30", "--p", "0.2", "--mode", "pdim-adaptive"],
+    "membership": MEMBERSHIP,
+    "pair": ["estimate", "--what", "pair", "--n", "30", "--p", "0.2", "--trials", "50"],
+    "chain": CHAIN,
+    "bipartite": BIPARTITE + ["--trials", "50"],
+    "uniform": UNIFORM,
+    "bounds": ["bounds", "--n", "1000", "--p", "0.05"],
+}
+READ_VALUES = {
+    "n": ["25"],
+    "p": ["0.25"],
+    "k_coef": ["0.7"],
+    # k = 0 at these sizes, which the ParamSet rejects (exit 2)
+    "epsilon": ["0.5"],
+    "seed": ["9"],
+    # on the trajectory path this selects the ensemble
+    "trials": ["7"],
+    "tracked": ["2"],
+    "budget": ["3"],
+    "max_size": ["2"],
+    "strict_factor": ["0.5"],
+    "t": ["6"],
+    "s": ["2"],
+    "max_t": ["3"],
+    "include_sets": [],
+    "pair_sample": ["5"],
+    "i": ["2"],
+    "j": ["4"],
+    "u": ["4"],
+    "v": ["3"],
+    "a": ["5"],
+    "b": ["6"],
+    "k": ["4"],
+    "index": ["3"],
+    "sample_mode": ["rejection"],
+    "c_eps": ["2.0"],
+}
+# The chain reads k only as the bound on j: k = 2 < j = 3 fails (exit 1).
+PATH_VALUES = {("chain", "k_coef"): ["0.2"]}
+# Flags that only shape the output, and the flags that choose the path.
+NOT_PROBED = {"out", "format", "strict", "threads", "mode", "what", "input"}
+
+
+def outcome(argv):
+    """(exit code, payload without the config echo) of an accepted argv."""
+    cfg = parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = execute(cfg)
+    payload = out.getvalue()
+    if payload.startswith("{"):
+        doc = json.loads(payload)
+        del doc["config"]
+        payload = json.dumps(doc, sort_keys=True)
+    return code, payload
+
+
+class TestFlagsAreRead:
+    def test_tables_cover_every_path_and_flag(self):
+        every_path = [path for paths in PATHS.values() for path in paths]
+        assert sorted(PATH_BASES) == sorted(every_path)
+        assert sorted(READ_VALUES) == sorted(set(FLAGS) - NOT_PROBED)
+
+    @pytest.mark.parametrize("path", sorted(PATH_BASES))
+    def test_each_flag_a_path_reads_changes_its_outcome(self, path):
+        base = PATH_BASES[path]
+        before = outcome(base)
+        assert before[0] == 0
+        probed = 0
+        for name, flag in FLAGS.items():
+            if path not in flag.reads or name in NOT_PROBED:
+                continue
+            option = "--" + name.replace("_", "-")
+            value = PATH_VALUES.get((path, name), READ_VALUES[name])
+            after = outcome(base + [option, *value])
+            assert after != before, f"{path} ignores {option}"
+            probed += 1
+        assert probed > 0
 
 
 class TestGen:

@@ -26,7 +26,7 @@ from greedycover import (
     to_edge_list,
 )
 from greedycover import rng as grng
-from greedycover.graph import _SYMMETRY_BLOCK, non_edge_count
+from greedycover.graph import _SYMMETRY_BLOCK, first_edge_inside, non_edge_count
 from numpy_oracle import numpy_stream
 
 
@@ -264,6 +264,18 @@ class TestOperators:
         assert is_independent(g, VertexSet.empty(9))
         # singletons are always independent
         assert is_independent(g, VertexSet.from_iterable(9, [6]))
+
+    def test_first_edge_inside_is_least_edge(self):
+        g = gnp_sample(30, 0.1, 5)
+        rng = np.random.Generator(np.random.Philox(key=3))
+        for _ in range(200):
+            size = int(rng.integers(0, 12))
+            members = sorted(rng.choice(30, size=size, replace=False).tolist())
+            inside = [
+                (u, v) for u in members for v in members if u < v and g.has_edge(u, v)
+            ]
+            mask = sum(1 << v for v in members)
+            assert first_edge_inside(g, mask) == min(inside, default=None)
 
     def test_non_edges_matches_complement(self):
         g = gnp_sample(30, 0.35, 8)

@@ -7,6 +7,7 @@ step, and checks the engine's incremental bookkeeping against it.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from greedycover import rng
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f, expected_degree
 from greedycover.process import (
+    chunked_map,
     ensemble_run,
     increment_bound,
     increment_diagnostics,
@@ -455,6 +457,38 @@ class TestEnsemble:
         host = gnp_sample(30, 0.2, seed=0)
         with pytest.raises(ValueError):
             ensemble_run(host, ParamSet(30, 0.2), 0, seed=0)
+
+
+def _span(start, stop):
+    return start, stop
+
+
+class TestChunkedMap:
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor and starts no process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        two = [(0, 32), (32, 40)]
+        four = [(0, 32), (32, 64), (64, 96), (96, 100)]
+        assert chunked_map(_span, (), trials=40, chunk=32, threads=64) == two
+        assert chunked_map(_span, (), trials=100, chunk=32, threads=3) == four
+        assert chunked_map(_span, (), trials=100, chunk=32, threads=1) == four
+        assert asked == [2, 3]
 
 
 class TestStateSurface:
