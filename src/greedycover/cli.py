@@ -20,8 +20,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, field, fields, make_dataclass
 
 from . import __version__
 from .cover import (
@@ -43,53 +44,6 @@ from .process import StepRecord, ensemble_run, run
 from .typicality import is_typical
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    """Normalized flags for one invocation; echoed verbatim in reports.
-
-    Every report carries the same key set.  A flag that the subcommand lacks
-    keeps the default given here, which the golden digests pin (`bounds`
-    echoes "seed": 0, `gen` "k_coef": 0.5), so FLAGS cannot supply it.
-    """
-
-    subcommand: str
-    n: int | None = None
-    p: float | None = None
-    k_coef: float = 0.5
-    epsilon: float | None = None
-    seed: int = 0
-    trials: int | None = None
-    t: int | None = None
-    s: int | None = None
-    format: str = "json"
-    input: str | None = None
-    out: str | None = None
-    mode: str | None = None
-    what: str | None = None
-    strict: bool = False
-    strict_factor: float | None = None
-    budget: int | None = None
-    max_size: int | None = None
-    max_t: int | None = None
-    threads: int = 1
-    tracked: int | None = None
-    pair_sample: int | None = None
-    i: int | None = None
-    j: int | None = None
-    u: int | None = None
-    v: int | None = None
-    a: int | None = None
-    b: int | None = None
-    k: int | None = None
-    index: int | None = None
-    sample_mode: str | None = None
-    c_eps: float | None = None
-    include_sets: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # The paths of each subcommand: run's trial count, cover's --mode and
@@ -120,15 +74,25 @@ def _every(*subs: str) -> set[str]:
 
 class Flag:
     """One CLI flag: the paths that read it, the paths that require it, its
-    smallest accepted value, its help and its other argparse keywords.
+    smallest accepted value, its two defaults, its help and its other
+    argparse keywords.
 
-    A subcommand has the flag iff one of its paths reads it.
+    A subcommand has the flag iff one of its paths reads it.  `default` is
+    the flag's value on a subcommand that has it when it is not given (a dict
+    by subcommand for --trials).  `echo` is its value on the subcommands that
+    lack it, which the golden digests pin (`bounds` echoes "seed": 0, `gen`
+    "k_coef": 0.5).
     """
 
-    def __init__(self, reads, needs=frozenset(), floor=None, help="", **kwargs):
+    def __init__(
+        self, reads, needs=frozenset(), floor=None, default=None, echo=None,
+        help="", **kwargs
+    ):
         self.reads = reads
         self.needs = needs
         self.floor = floor
+        self.default = default
+        self.echo = echo
         self.help = help
         self.kwargs = kwargs
 
@@ -143,7 +107,7 @@ _PDIM = {"pdim", "pdim-adaptive"}
 _ADAPTIVE = {"adaptive", "pdim-adaptive"}
 _SETS = {"bipartite", "uniform"}
 
-# Each flag once, keyed by its RunConfig field (--k-coef is k_coef).
+# Each flag once, keyed by the RunConfig field it becomes (--k-coef is k_coef).
 FLAGS = {
     "what": Flag(_every("estimate"), choices=PATHS["estimate"], default="membership"),
     "input": Flag(_HOSTS, help="edge-list file; mutually exclusive with --n"),
@@ -151,12 +115,17 @@ FLAGS = {
     "p": Flag(
         _SIZED, _PARAMS | {"gen"}, type=float, help="density parameter in (0, 1)"
     ),
-    "k_coef": Flag(_PARAMS, type=float, default=0.5),
+    "k_coef": Flag(_PARAMS, type=float, default=0.5, echo=0.5),
     "epsilon": Flag(
         _PARAMS, type=float, help="k coefficient epsilon/1024; excludes --k-coef"
     ),
-    "seed": Flag(_every(*PATHS) - {"bounds"}, type=int, default=0),
-    "trials": Flag(_every("run") | _GREEDY | {"bipartite"}, floor=1, type=int),
+    "seed": Flag(_every(*PATHS) - {"bounds"}, type=int, default=0, echo=0),
+    "trials": Flag(
+        _every("run") | _GREEDY | {"bipartite"},
+        floor=1,
+        type=int,
+        default={"run": 1, "estimate": 10_000},
+    ),
     "tracked": Flag(
         {"ensemble"},
         floor=0,
@@ -164,12 +133,14 @@ FLAGS = {
         default=0,
         help="track increments for vertices 0..TRACKED-1",
     ),
-    "threads": Flag({"ensemble"} | _POOLED, floor=1, type=int, default=1),
+    "threads": Flag({"ensemble"} | _POOLED, floor=1, type=int, default=1, echo=1),
     "budget": Flag({"typical"}, floor=1, type=int, default=20),
     "max_size": Flag({"typical"}, floor=1, type=int),
     "strict_factor": Flag({"typical"}, type=float, default=1.0),
     "strict": Flag(
         _every("typical", "cover"),
+        default=False,
+        echo=False,
         action="store_true",
         help="exit 1 when the host is not typical or a non-edge is uncovered",
     ),
@@ -179,13 +150,13 @@ FLAGS = {
         default="adaptive",
         help="fixed-budget flat/partition cover, or adaptive variants",
     ),
-    "t": Flag(
-        _FIXED, _FIXED, floor=1, type=int, help="set/partition count"
-    ),
+    "t": Flag(_FIXED, _FIXED, floor=1, type=int, help="set/partition count"),
     "s": Flag(_PDIM, floor=1, type=int, help="sets per partition"),
     "max_t": Flag(_ADAPTIVE, floor=1, type=int, help="adaptive cap"),
     "include_sets": Flag(
         _every("cover"),
+        default=False,
+        echo=False,
         action="store_true",
         help="embed full set memberships in the report",
     ),
@@ -205,9 +176,28 @@ FLAGS = {
         help="uniform-set sampling strategy",
     ),
     "c_eps": Flag({"bounds"}, type=float, default=1.0),
-    "format": Flag(_every(*PATHS) - {"gen"}, choices=["json", "csv"], default="json"),
+    "format": Flag(
+        _every(*PATHS) - {"gen"}, choices=["json", "csv"], default="json", echo="json"
+    ),
     "out": Flag(_every(*PATHS)),
 }
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("subcommand", str)]
+    + [(name, object, field(default=flag.echo)) for name, flag in FLAGS.items()],
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Normalized flags for one invocation; echoed verbatim in reports.
+
+        One field per FLAGS entry, so every report carries the same key set.
+        A flag given on the command line keeps its value, one that the
+        subcommand has takes `Flag.default`, and one that it lacks takes
+        `Flag.echo`, the field's default.
+        """,
+    },
+)
 
 
 def _option(name: str) -> str:
@@ -217,34 +207,41 @@ def _option(name: str) -> str:
 def parse_args(argv: list[str]) -> RunConfig:
     """argv (without the program name) -> validated RunConfig.
 
-    Usage problems raise SystemExit(2) via argparse.
+    argparse returns only the flags given; FLAGS supplies the rest.  Usage
+    problems, abbreviated flags among them, raise SystemExit(2) via argparse.
     """
     parser = argparse.ArgumentParser(
         prog="greedycover",
         description="Greedy independent-set process, covers, and estimators.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    defaults = {sub: {} for sub in PATHS}  # of the flags each subcommand has
     for sub, paths in PATHS.items():
-        sp = subs.add_parser(sub, help=_HELP[sub])
+        sp = subs.add_parser(sub, help=_HELP[sub], allow_abbrev=False)
         for name, flag in FLAGS.items():
             reads = [path for path in paths if path in flag.reads]
             if reads:
                 note = f" ({', '.join(reads)})" if len(reads) < len(paths) else ""
-                sp.add_argument(_option(name), help=flag.help + note, **flag.kwargs)
-    subs.choices["run"].set_defaults(trials=1)
-    subs.choices["estimate"].set_defaults(trials=10_000)
+                sp.add_argument(
+                    _option(name),
+                    default=argparse.SUPPRESS,
+                    help=flag.help + note,
+                    **flag.kwargs,
+                )
+                value = flag.default
+                defaults[sub][name] = value[sub] if isinstance(value, dict) else value
 
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(**vars(ns))
-    _validate(parser, subs.choices[cfg.subcommand], cfg)
+    given = vars(parser.parse_args(argv))
+    cfg = RunConfig(**defaults[given["subcommand"]] | given)
+    _validate(parser, given, cfg)
     return cfg
 
 
-def _validate(
-    parser: argparse.ArgumentParser, sub_parser: argparse.ArgumentParser, cfg: RunConfig
-) -> None:
-    """Cross-flag checks; every failure is a usage error (exit 2)."""
+def _validate(parser: argparse.ArgumentParser, given: dict, cfg: RunConfig) -> None:
+    """Cross-flag checks on the flags `given` on the command line and their
+    resolved `cfg`; every failure is a usage error (exit 2)."""
     sub = cfg.subcommand
     path = {
         "run": "trajectory" if cfg.trials == 1 else "ensemble",
@@ -253,15 +250,10 @@ def _validate(
     }.get(sub, sub)
     where = sub if path == sub else f"{sub} ({path})"
 
-    def is_set(name: str) -> bool:
-        return getattr(cfg, name) != sub_parser.get_default(name)
-
     missing = []
     for name, flag in FLAGS.items():
-        if flag.reads.isdisjoint(PATHS[sub]):
-            continue
         value = getattr(cfg, name)
-        if path not in flag.reads and is_set(name):
+        if name in given and path not in flag.reads:
             parser.error(f"{_option(name)} does not apply to {where}")
         if path in flag.needs and value is None:
             missing.append(_option(name))
@@ -270,7 +262,7 @@ def _validate(
     if missing:
         parser.error(f"{where} requires {' '.join(missing)}")
     for first, second in (("input", "n"), ("k_coef", "epsilon")):
-        if is_set(first) and is_set(second):
+        if first in given and second in given:
             parser.error(f"{_option(first)} and {_option(second)} exclude each other")
     if path in _HOSTS:
         if cfg.input is None and cfg.n is None:
@@ -282,8 +274,8 @@ def _validate(
             "CSV is lossy and limited to flat tables: run --trials 1 "
             "or estimate --what membership/pair; use JSON here"
         )
-    if cfg.c_eps is not None and cfg.c_eps <= 0:
-        parser.error("--c-eps must be positive")
+    if cfg.c_eps is not None and not 0 < cfg.c_eps < math.inf:
+        parser.error("--c-eps must be positive and finite")
     if cfg.strict_factor is not None and not 0 < cfg.strict_factor <= 1:
         parser.error("--strict-factor must lie in (0, 1]")
 
@@ -314,7 +306,7 @@ def _json_payload(cfg: RunConfig, body: dict) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         **body,
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

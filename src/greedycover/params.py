@@ -61,7 +61,10 @@ class ParamSet:
             raise ValueError(f"k_coef must be positive, got {coef}")
         log_n = math.log(self.n)
         log_pn = math.log(self.p * self.n)
-        k = math.floor(coef / self.p * log_pn)
+        x = coef / self.p * log_pn
+        if not math.isfinite(x):
+            raise ValueError(f"k_coef / p * log(pn) must be finite, got {x}")
+        k = math.floor(x)
         if k < 1:
             raise ValueError(
                 f"derived process length k = {k} < 1; increase k_coef or p*n"
@@ -192,8 +195,8 @@ def bound_formulas(ps: ParamSet, c_eps: float = 1.0) -> dict:
         t_theta1: flat-cover budget, ceil(6 * k^-2 * n^2 * log n).
         mrss_lower: known lower-bound comparator p*n*log(1/p) / (5 log n).
     """
-    if c_eps <= 0:
-        raise ValueError("c_eps must be positive")
+    if not 0 < c_eps < math.inf:
+        raise ValueError(f"c_eps must be positive and finite, got {c_eps}")
     n, k = ps.n, ps.k
     return {
         "s_pdim": math.ceil(n / k),

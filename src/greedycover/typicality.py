@@ -182,6 +182,8 @@ def check_p3(
                     violations.append((u, v, int(counts[off])))
     else:
         mode = "sampled"
+        if pair_sample < 1:
+            raise ValueError("pair_sample must be >= 1")
         gen = _rng.stream(seed, _rng.P3_SAMPLE)
         us = gen.integers(0, g.n, size=pair_sample)
         vs = gen.integers(0, g.n - 1, size=pair_sample)

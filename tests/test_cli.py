@@ -123,6 +123,16 @@ class TestParse:
             # --epsilon replaces the k coefficient, so --k-coef would be ignored
             ["bounds", "--n", "100000", "--p", "0.001", "--k-coef", "0.7",
              "--epsilon", "0.5"],
+            # a flag counts as given by its presence, even at its default value
+            ["bounds", "--n", "100000", "--p", "0.001", "--k-coef", "0.5",
+             "--epsilon", "0.5"],
+            ["run", "--n", "50", "--p", "0.2", "--trials", "1", "--tracked", "0"],
+            ["run", "--n", "50", "--p", "0.2", "--threads", "1"],
+            # abbreviations are refused, not read as the flag they prefix
+            ["cover", "--n", "50", "--p", "0.2", "--k", "3"],
+            ["typical", "--n", "50", "--p", "0.2", "--strict-f", "0.5"],
+            ["bounds", "--n", "1000", "--p", "0.05", "--c-eps", "inf"],
+            ["bounds", "--n", "1000", "--p", "0.05", "--c-eps", "nan"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -221,6 +231,35 @@ class TestFlagsAreRead:
             value = PATH_VALUES.get((path, name), READ_VALUES[name])
             after = outcome(base + [option, *value])
             assert after != before, f"{path} ignores {option}"
+            probed += 1
+        assert probed > 0
+
+
+# The argvs above omit the flags that choose the membership and adaptive
+# paths, so that --what, --mode and estimate's --trials are compared at their
+# defaults too.
+DEFAULT_BASES = {
+    **PATH_BASES,
+    "membership": ["estimate", "--n", "30", "--p", "0.2"],
+    "adaptive": ["cover", "--n", "30", "--p", "0.2"],
+}
+TRIALS_DEFAULT = {"run": 1, "estimate": 10_000}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("path", sorted(DEFAULT_BASES))
+    def test_giving_a_default_equals_omitting_it(self, path):
+        base = DEFAULT_BASES[path]
+        omitted = parse_args(base)
+        probed = 0
+        for name, flag in FLAGS.items():
+            option = "--" + name.replace("_", "-")
+            default = TRIALS_DEFAULT.get(base[0]) if name == "trials" else flag.default
+            if path not in flag.reads or option in base:
+                continue
+            if default is None or isinstance(default, bool):  # no value to give
+                continue
+            assert parse_args(base + [option, str(default)]) == omitted, option
             probed += 1
         assert probed > 0
 
@@ -435,6 +474,11 @@ class TestBounds:
 
     def test_bad_p_exit_2(self, capsys):
         assert main(["bounds", "--n", "1000", "--p", "1.5"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_non_finite_k_coef_exit_2(self, capsys):
+        # parse_args accepts it; the ParamSet refuses the infinite length
+        assert main(["bounds", "--n", "1000", "--p", "0.05", "--k-coef", "inf"]) == 2
         assert "usage error" in capsys.readouterr().err
 
 

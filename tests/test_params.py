@@ -80,6 +80,12 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="k = 0"):
             derive_params(100, 0.1, k_coef=0.01)
 
+    @pytest.mark.parametrize("k_coef", [math.inf, math.nan, 1e308])
+    def test_non_finite_length_rejected(self, k_coef):
+        # 1e308 / p overflows to inf; math.floor would raise OverflowError
+        with pytest.raises(ValueError, match="must be finite"):
+            ParamSet(1000, 0.05, k_coef=k_coef)
+
     def test_epsilon_mode_records_and_overrides(self):
         # epsilon * 2^-10 is far too small at desk scale -> k = 0 rejected.
         with pytest.raises(ValueError, match="k ="):
@@ -188,8 +194,9 @@ class TestBudgets:
         assert bf["s_pdim"] == 18
         assert bf["t_pdim"] == 101
         assert bf["t_theta1"] == 10658
-        with pytest.raises(ValueError):
-            bound_formulas(ps, c_eps=0)
+        for c_eps in (0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c_eps"):
+                bound_formulas(ps, c_eps=c_eps)
 
     def test_c_eps_scales_t_pdim(self):
         ps = derive_params(300, 0.1, 0.5)

@@ -173,6 +173,13 @@ class TestP3:
         assert frag.violations == want
         assert frag.max_codegree == max(c[2] for c in counts)
 
+    @pytest.mark.parametrize("pair_sample", [0, -3])
+    def test_sampled_mode_needs_a_pair(self, monkeypatch, pair_sample):
+        monkeypatch.setattr(typicality, "P3_EXHAUSTIVE_LIMIT", 50)
+        g = gnp_sample(60, 0.3, seed=4)
+        with pytest.raises(ValueError, match="pair_sample must be >= 1"):
+            check_p3(g, ParamSet(60, 0.3), pair_sample=pair_sample)
+
     def test_sampled_mode_memory_is_bounded(self):
         # 20000 pairs of 2501-byte rows: gathering both operands at once
         # would take 100 MB
