@@ -269,6 +269,8 @@ def _validate(parser: argparse.ArgumentParser, given: dict, cfg: RunConfig) -> N
             parser.error(f"{where} needs a host: pass --input or --n")
         if path == "uniform" and (cfg.input is None) == (cfg.p is None):
             parser.error("estimate (uniform) reads --p iff it generates the host")
+    if path == "bipartite" and not (cfg.a >= cfg.k >= 2 and cfg.b >= 1):
+        parser.error("estimate (bipartite) needs --a >= --k >= 2 and --b >= 1")
     if cfg.format == "csv" and path not in ("trajectory", "membership", "pair"):
         parser.error(
             "CSV is lossy and limited to flat tables: run --trials 1 "

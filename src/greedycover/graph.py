@@ -3,8 +3,10 @@
 Vertices are integers 0..n-1.  Adjacency is stored as one Python int per
 vertex, bit v of row u set iff uv is an edge; unions, complements and
 popcounts over whole neighbourhoods are then single big-int operations.  A
-packed uint8 mirror of the rows and the degree vector are cached lazily for
-the numpy paths (codegree scans, degree bookkeeping in the process engine).
+packed mirror of the rows and the degree vector are cached for the numpy
+paths (codegree scans, degree bookkeeping in the process engine).  The
+mirror is one read-only buffer, rows zero-padded to whole uint64 words, that
+`packed_rows` views as bytes and `packed_words` as words.
 
 Graphs are immutable once constructed.  Construct them through
 `gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
@@ -152,12 +154,18 @@ class Graph:
         return VertexSet(self.n, self._rows[v]).to_list()
 
     def packed_rows(self) -> np.ndarray:
-        """(n, ceil(n/8)) uint8 matrix; bit v of row u (little order) = adjacency."""
+        """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
+        order) = adjacency."""
+        return self.packed_words().view(np.uint8)[:, : (self.n + 7) // 8]
+
+    def packed_words(self) -> np.ndarray:
+        """Read-only (n, ceil(n/64)) uint64 matrix, built once per graph: the
+        packed rows zero-padded to whole words (`gnp_sample` hands its own)."""
         if self._packed is None:
-            w = max((self.n + 7) // 8, 1)
+            w = (self.n + 63) // 64 * 8
             buf = b"".join(r.to_bytes(w, "little") for r in self._rows)
             self._packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, w)
-        return self._packed
+        return self._packed.view(np.uint64)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -186,7 +194,8 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     Pair t of the strict upper triangle in row-major order is an edge iff
     uniform t of the stream (seed, GRAPH) is below p, so the same seed gives
     the same graph however the draws are batched.  The draws are read in
-    bounded blocks and each block's edges are scattered into packed rows.
+    bounded blocks and each block's edges are scattered into the word-aligned
+    packed rows, which the graph keeps as its `packed_words` cache.
 
     Args:
         n: number of vertices (>= 0).
@@ -197,8 +206,7 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    w = max((n + 7) // 8, 1)
-    packed = np.zeros((max(n, 1), w), dtype=np.uint8)
+    packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
     # pair (u, v), u < v, reads draw starts[u] + v - u - 1 of the stream
     vs = np.arange(n, dtype=np.int64)
     starts = vs * (n - 1) - vs * (vs - 1) // 2
@@ -215,7 +223,10 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     rows = tuple(
         int.from_bytes(packed[v].tobytes(), "little") for v in range(n)
     )
-    return Graph(n, rows, edge_count)
+    packed.flags.writeable = False
+    g = Graph(n, rows, edge_count)
+    g._packed = packed
+    return g
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -530,22 +530,41 @@ class EnsembleSummary:
         }
 
 
+# A pool worker's (fn, args), set once by the pool initializer.
+_shared: tuple = ()
+
+
+def _share(fn, args: tuple) -> None:
+    global _shared
+    _shared = (fn, args)
+
+
+def _shared_chunk(start: int, stop: int):
+    fn, args = _shared
+    return fn(*args, start, stop)
+
+
 def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     """[fn(*args, start, stop)] over fixed chunks of range(trials), in chunk order.
 
     The chunks depend only on `trials` and `chunk`, so a reduction over the
     results in list order gives the same bytes at any `threads`; with more
     than one thread and more than one chunk they run in a process pool.
+    Each worker receives (fn, args) once, through the pool initializer (not
+    pickled at all under fork), and keeps them, with the host's packed-row
+    and degree caches, across its chunks; a chunk sends only its bounds.
     """
-    jobs = [(*args, s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    if threads > 1 and len(jobs) > 1:
+    bounds = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+    if threads > 1 and len(bounds) > 1:
         from concurrent import futures
 
         # the pool forks all its workers at the first submit, so ask for no
         # more workers than there are chunks
-        with futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
-    return [fn(*job) for job in jobs]
+        with futures.ProcessPoolExecutor(
+            min(threads, len(bounds)), initializer=_share, initargs=(fn, args)
+        ) as pool:
+            return list(pool.map(_shared_chunk, *zip(*bounds)))
+    return [fn(*args, start, stop) for start, stop in bounds]
 
 
 _CHUNK = 32

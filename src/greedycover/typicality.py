@@ -161,15 +161,14 @@ def check_p3(
     _check_strict_factor(strict_factor)
     check_host_n(ps, g)
     cap = strict_factor * ps.delta2
-    rows = g.packed_rows()
     violations: list[tuple[int, int, int]] = []
     max_codeg = 0
     pairs = 0
 
     if g.n <= P3_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
-        # rows zero-padded to whole uint64 words, popcounted a word at a time
-        words = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8))).view(np.uint64)
+        # the host's own word-aligned rows, popcounted a word at a time
+        words = g.packed_words()
         for u in range(g.n - 1):
             counts = np.bitwise_count(words[u] & words[u + 1 :]).sum(
                 axis=1, dtype=np.int64
@@ -188,6 +187,7 @@ def check_p3(
         us = gen.integers(0, g.n, size=pair_sample)
         vs = gen.integers(0, g.n - 1, size=pair_sample)
         vs = np.where(vs >= us, vs + 1, vs)  # uniform over ordered pairs, u != v
+        rows = g.packed_rows()
         # the pairs' rows are gathered a bounded chunk at a time
         chunk = max(P3_CHUNK_BYTES // rows.shape[1], 1)
         counts = np.concatenate([

@@ -133,6 +133,12 @@ class TestParse:
             ["typical", "--n", "50", "--p", "0.2", "--strict-f", "0.5"],
             ["bounds", "--n", "1000", "--p", "0.05", "--c-eps", "inf"],
             ["bounds", "--n", "1000", "--p", "0.05", "--c-eps", "nan"],
+            # bipartite sizes outside a >= k >= 2, b >= 1
+            ["estimate", "--what", "bipartite", "--a", "0", "--b", "5", "--k", "2"],
+            ["estimate", "--what", "bipartite", "--a", "10", "--b", "20", "--k", "1"],
+            ["estimate", "--what", "bipartite", "--a", "10", "--b", "0", "--k", "3"],
+            ["estimate", "--what", "bipartite", "--a", "3", "--b", "20", "--k", "5"],
+            ["estimate", "--what", "bipartite", "--a", "-1", "--b", "5", "--k", "2"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

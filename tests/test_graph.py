@@ -7,6 +7,7 @@ neighbor dicts of Python sets, rebuilt from the edge-list text.
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,8 @@ from greedycover import (
 )
 from greedycover import rng as grng
 from greedycover.graph import _SYMMETRY_BLOCK, first_edge_inside, non_edge_count
+from greedycover.params import ParamSet
+from greedycover.typicality import check_p3
 from numpy_oracle import numpy_stream
 
 
@@ -321,6 +324,39 @@ class TestPackedRows:
         assert packed.shape == (37, (37 + 7) // 8)
         for v in range(g.n):
             assert int.from_bytes(packed[v].tobytes(), "little") == g.row(v)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: gnp_sample(n, 0.3, n),
+            lambda n: Graph.from_rows(gnp_sample(n, 0.3, n)._rows),
+            lambda n: complete_bipartite(n // 3, n - n // 3),
+            lambda n: from_edge_list(to_edge_list(gnp_sample(n, 0.3, n))),
+            lambda n: pickle.loads(pickle.dumps(gnp_sample(n, 0.3, n))),
+        ],
+        ids=["gnp_sample", "from_rows", "complete_bipartite", "edge_list", "unpickled"],
+    )
+    def test_word_aligned_layout(self, make, n):
+        g = make(n)
+        rows, words = g.packed_rows(), g.packed_words()
+        assert rows.shape == (n, (n + 7) // 8) and rows.dtype == np.uint8
+        assert words.shape == (n, (n + 63) // 64) and words.dtype == np.uint64
+        assert not rows.flags.writeable and not words.flags.writeable
+        assert n == 0 or np.shares_memory(rows, words)
+        for v in range(n):
+            assert int.from_bytes(rows[v].tobytes(), "little") == g.row(v)
+            assert words[v].tobytes() == g.row(v).to_bytes(words.shape[1] * 8, "little")
+        if n < 63:
+            return  # ParamSet needs p * n > e
+        # the exhaustive codegree scan reads the words in place
+        ps = ParamSet(n, 0.3)
+        frag = check_p3(g, ps, strict_factor=0.01)
+        nbr = [set(g.neighbors(v)) for v in range(n)]
+        codeg = [(u, v, len(nbr[u] & nbr[v])) for u in range(n) for v in range(u + 1, n)]
+        assert frag.mode == "exhaustive" and frag.pairs_tested == len(codeg)
+        assert frag.violations == [c for c in codeg if c[2] > 0.01 * ps.delta2]
+        assert frag.max_codegree == max(c for _, _, c in codeg)
 
     def test_degree_sum_matches_edge_count(self):
         g = gnp_sample(64, 0.5, 9)

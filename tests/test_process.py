@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from greedycover import rng
+from greedycover import process, rng
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f, expected_degree
 from greedycover.process import (
@@ -463,6 +463,20 @@ def _span(start, stop):
     return start, stop
 
 
+class _Counted:
+    """Counts the times it is pickled in this process."""
+
+    reductions = 0
+
+    def __reduce__(self):
+        _Counted.reductions += 1
+        return (_Counted, ())
+
+
+def _span_of(arg, start, stop):
+    return type(arg).__name__, start, stop
+
+
 class TestChunkedMap:
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         asked = []
@@ -470,8 +484,10 @@ class TestChunkedMap:
         class InProcessPool:
             """Stands in for ProcessPoolExecutor and starts no process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 asked.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -483,12 +499,20 @@ class TestChunkedMap:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(process, "_shared", ())
         two = [(0, 32), (32, 40)]
         four = [(0, 32), (32, 64), (64, 96), (96, 100)]
         assert chunked_map(_span, (), trials=40, chunk=32, threads=64) == two
         assert chunked_map(_span, (), trials=100, chunk=32, threads=3) == four
         assert chunked_map(_span, (), trials=100, chunk=32, threads=1) == four
         assert asked == [2, 3]
+
+    def test_shared_args_pickled_at_most_once_per_worker(self, monkeypatch):
+        monkeypatch.setattr(_Counted, "reductions", 0)
+        args = (_Counted(),)
+        pooled = chunked_map(_span_of, args, trials=256, chunk=32, threads=2)
+        assert _Counted.reductions <= 2
+        assert pooled == chunked_map(_span_of, args, trials=256, chunk=32, threads=1)
 
 
 class TestStateSurface:

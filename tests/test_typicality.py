@@ -120,6 +120,20 @@ class TestP3:
         assert frag.max_codegree == n - 2
         assert len(frag.violations) == n * (n - 1) // 2
 
+    def test_exhaustive_mode_makes_no_copy_of_rows(self):
+        n = 2000
+        g = gnp_sample(n, 0.05, seed=5)
+        words = g.packed_words()  # the host's own rows are not the check's memory
+        tracemalloc.start()
+        try:
+            frag = check_p3(g, ParamSet(n, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frag.mode == "exhaustive" and frag.pairs_tested == n * (n - 1) // 2
+        # one AND of row u with the rows after it, plus its popcounts
+        assert peak < 1.5 * words.nbytes
+
     def test_brute_force_oracle_with_strict_factor(self):
         g = gnp_sample(120, 0.2, seed=7)
         ps = ParamSet(120, 0.2)
