@@ -7,7 +7,10 @@ with the digest recorded when the case was added.  Between them the cases
 reach every subcommand, both adaptive and both fixed cover modes, the
 membership, chain (light and full path), bipartite and uniform
 estimators, tracked and untracked ensembles, the pooled paths at
---threads 1 and 2, and both CSV tables.
+--threads 1 and 2, and both CSV tables.  Two cases on the dense HOST_FILE
+reach record shapes the others leave empty: a host check with P1, P2 and
+P3 violations, and an ensemble in which no run reaches step 2 with two
+active vertices left, so its per-step ratios are null from step 2 on.
 
 A change that alters one of these digests changes the output contract; it
 has to say so and justify it.  `python tests/test_golden.py` prints the
@@ -47,6 +50,10 @@ CASES = {
     "run-untracked": ["run", "--n", "150", "--p", "0.1", "--seed", "1", "--trials", "40",
                       "--threads", "1"],
     "typical": ["typical", "--n", "150", "--p", "0.1", "--seed", "2", "--budget", "4"],
+    "typical-violations": ["typical", "--input", HOST_FILE, "--p", "0.05", "--seed", "0",
+                           "--budget", "2", "--strict-factor", "0.05"],
+    "run-exhausting": ["run", "--input", HOST_FILE, "--p", "0.05", "--seed", "0",
+                       "--trials", "5", "--threads", "1"],
     "cover-theta1": COVER + ["theta1", "--t", "40"],
     "cover-adaptive": COVER + ["adaptive"],
     "cover-pdim": COVER + ["pdim", "--t", "5"],
@@ -82,10 +89,12 @@ DIGESTS = {
     "membership-threads2": "c0768ad8c67ad8b958830450cdc7cf1323ec17c3f7d1786cffc5a986034350f4",
     "run": "1148651a160de4fa0a575ee172df3044d4b91aeb6852a9855a75dd1514278ab2",
     "run-csv": "cc02c42a4be8969bb629c019a674f66554d9e6ff0a86b313ed6c6127f85a1774",
+    "run-exhausting": "3fe969eb2b79231e84f9cb39327f70800631b8130869db81d3e70bfed9fd46de",
     "run-threads1": "33d641ab25cde91162c0c886eeed926eebef66fa7061f50aa50e96696fd7ca33",
     "run-threads2": "c80b7ac55d2230d90e11a2e2c2c2c92a57d6555b6571e3a1a56f398b9cb32ade",
     "run-untracked": "1dedd6103c1860509ba0c69663009a1e78f626c6402b22cb6073c7e474f3f834",
     "typical": "22b3d62866320a7a81b4473fb879d43a4cddbf7a610ec2e562df4ba720c8f5e9",
+    "typical-violations": "4f5195846f5e81c3168be4b1d9404f1dc0eb0f5dd7b8846c2ae00a05ce2eaa10",
     "uniform": "35724a50583276bbd275f866e02f65df35592d9ddc073f8f340dbc6e9d704323",
 }
 
