@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, field, fields, make_dataclass
+from dataclasses import field, fields, is_dataclass, make_dataclass
 
 from . import __version__
 from .cover import (
@@ -32,7 +32,7 @@ from .cover import (
     build_theta1_cover,
     verify_cover,
 )
-from .graph import Graph, from_edge_list, gnp_sample, to_edge_list
+from .graph import Graph, VertexSet, from_edge_list, gnp_sample, to_edge_list
 from .montecarlo import (
     bipartite_comparison,
     estimate_conditional_chain,
@@ -161,10 +161,10 @@ FLAGS = {
         help="embed full set memberships in the report",
     ),
     "pair_sample": Flag(_POOLED, floor=0, type=int, default=200),
-    "i": Flag({"chain"}, {"chain"}, type=int, help="first special step"),
-    "j": Flag({"chain"}, {"chain"}, type=int, help="second special step"),
-    "u": Flag({"chain"}, {"chain"}, type=int, help="vertex chosen at step i"),
-    "v": Flag({"chain"}, {"chain"}, type=int, help="vertex chosen at step j"),
+    "i": Flag({"chain"}, {"chain"}, floor=1, type=int, help="first special step"),
+    "j": Flag({"chain"}, {"chain"}, floor=1, type=int, help="second special step"),
+    "u": Flag({"chain"}, {"chain"}, floor=0, type=int, help="vertex chosen at step i"),
+    "v": Flag({"chain"}, {"chain"}, floor=0, type=int, help="vertex chosen at step j"),
     "a": Flag({"bipartite"}, {"bipartite"}, type=int, help="first class size"),
     "b": Flag({"bipartite"}, {"bipartite"}, type=int, help="second class size"),
     "k": Flag(_SETS, _SETS, floor=1, type=int, help="set size"),
@@ -269,6 +269,8 @@ def _validate(parser: argparse.ArgumentParser, given: dict, cfg: RunConfig) -> N
             parser.error(f"{where} needs a host: pass --input or --n")
         if path == "uniform" and (cfg.input is None) == (cfg.p is None):
             parser.error("estimate (uniform) reads --p iff it generates the host")
+    if path == "chain" and not (cfg.i < cfg.j and cfg.u != cfg.v):
+        parser.error("estimate (chain) needs --i < --j and --u != --v")
     if path == "bipartite" and not (cfg.a >= cfg.k >= 2 and cfg.b >= 1):
         parser.error("estimate (bipartite) needs --a >= --k >= 2 and --b >= 1")
     if cfg.format == "csv" and path not in ("trajectory", "membership", "pair"):
@@ -304,14 +306,35 @@ def _params(cfg: RunConfig, n: int) -> ParamSet:
         raise _SetupError(str(exc)) from exc
 
 
+def plain(value):
+    """The JSON-ready form of a payload value.
+
+    A VertexSet becomes its sorted members, a dataclass the dict of the
+    fields it shows in its repr, a named tuple the dict of its fields;
+    lists, tuples and dicts are converted item by item.  A record's payload
+    is thus exactly its shown fields.
+    """
+    if isinstance(value, VertexSet):
+        return value.to_list()
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if hasattr(value, "_asdict"):
+        return plain(value._asdict())
+    if isinstance(value, (list, tuple)):
+        return [plain(x) for x in value]
+    if isinstance(value, dict):
+        return {key: plain(x) for key, x in value.items()}
+    return value
+
+
 def _json_payload(cfg: RunConfig, body: dict) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
-        "config": asdict(cfg),
+        "config": cfg,
         **body,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(plain(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
@@ -342,7 +365,7 @@ def _csv_cell(value):
 
 def _run_records_csv(prun) -> str:
     header = [f.name for f in fields(StepRecord)]
-    rows = [[_csv_cell(x) for x in r.to_dict().values()] for r in prun.records]
+    rows = [[_csv_cell(x) for x in plain(r).values()] for r in prun.records]
     return _csv_table(header, rows)
 
 
@@ -358,7 +381,8 @@ def _membership_csv(rep) -> str:
 
 
 # Each executor returns (body, note, exit code).  The body is the payload text
-# (an edge list or a CSV table) or the dict the JSON document adds to `config`.
+# (an edge list or a CSV table) or the dict of records the JSON document adds
+# to `config`, each written as `plain` gives it.
 
 
 def _execute_gen(cfg: RunConfig) -> tuple:
@@ -378,7 +402,7 @@ def _execute_run(cfg: RunConfig) -> tuple:
         )
         if cfg.format == "csv":
             return _run_records_csv(prun), note, 0
-        return {"run": prun.to_dict()}, note, 0
+        return {"run": prun}, note, 0
     summary = ensemble_run(
         host,
         ps,
@@ -388,7 +412,7 @@ def _execute_run(cfg: RunConfig) -> tuple:
         threads=cfg.threads,
     )
     note = f"run: {cfg.trials} trials, violation_runs={summary.violation_runs}"
-    return {"ensemble": summary.to_dict()}, note, 0
+    return {"ensemble": summary}, note, 0
 
 
 def _execute_typical(cfg: RunConfig) -> tuple:
@@ -404,7 +428,7 @@ def _execute_typical(cfg: RunConfig) -> tuple:
     )
     body = {
         "host": {"n": host.n, "edges": host.edge_count},
-        "typicality": report.to_dict(),
+        "typicality": report,
     }
     code = 1 if cfg.strict and not report.typical else 0
     return body, f"typical: {report.typical}", code
@@ -430,12 +454,12 @@ def _execute_cover(cfg: RunConfig) -> tuple:
     report = verify_cover(host, cover, ps=ps, adaptive_count=adaptive_count)
     body = {
         "host": {"n": host.n, "edges": host.edge_count},
-        "verification": report.to_dict(),
+        "verification": report,
     }
     if adaptive_count is not None:
         body["adaptive_count"] = adaptive_count
     if cfg.include_sets:
-        body["cover"] = cover.to_dict()
+        body["cover"] = cover
     note = (
         f"cover: mode={cfg.mode} sets={report.total_sets}"
         f" covered_fraction={report.covered_fraction}"
@@ -453,7 +477,7 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
         vs = uniform_independent_set(
             host, cfg.k, seed=cfg.seed, index=cfg.index, mode=cfg.sample_mode
         )
-        body = {"uniform_set": {"members": vs.to_list(), "size": vs.size}}
+        body = {"uniform_set": {"members": vs, "size": vs.size}}
         return body, f"estimate: uniform set size={vs.size}", 0
     ps = _params(cfg, host.n)
     if cfg.what == "chain":
@@ -461,7 +485,7 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
             host, ps, cfg.i, cfg.j, cfg.u, cfg.v, cfg.trials, cfg.seed
         )
         note = f"estimate: chain joint_freq={est.joint_freq}"
-        return {"chain": est.to_dict()}, note, 0
+        return {"chain": est}, note, 0
     rep = estimate_membership(
         host,
         ps,
@@ -479,9 +503,9 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
 def _execute_bounds(cfg: RunConfig) -> tuple:
     ps = _params(cfg, cfg.n)
     body = {
-        "params": ps.to_dict(),
+        "params": ps,
         "bounds": bound_formulas(ps, c_eps=cfg.c_eps),
-        "envelope": [envelope(ps, i).to_dict() for i in range(ps.k + 1)],
+        "envelope": [envelope(ps, i) for i in range(ps.k + 1)],
     }
     return body, f"bounds: k={ps.k}", 0
 

@@ -17,7 +17,7 @@ the offender), and exhaustive non-edge coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
@@ -40,31 +40,23 @@ class Cover:
     sets: list[VertexSet]
     host_n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "host_n": self.host_n,
-            "sets": [s.to_list() for s in self.sets],
-        }
-
 
 @dataclass
 class PartitionCover:
-    """Family of partitions, each a list of disjoint independent sets."""
+    """Family of partitions, each a list of disjoint independent sets.
+
+    singleton_count counts the cells of size one: kept for disjointness,
+    they cover no pair.
+    """
 
     partitions: list[list[VertexSet]]
     host_n: int
+    singleton_count: int = field(init=False)
 
-    @property
-    def singleton_count(self) -> int:
-        """Cells of size one: kept for disjointness, cover no pair."""
-        return sum(1 for part in self.partitions for s in part if s.size == 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "host_n": self.host_n,
-            "partitions": [[s.to_list() for s in part] for part in self.partitions],
-            "singleton_count": self.singleton_count,
-        }
+    def __post_init__(self) -> None:
+        self.singleton_count = sum(
+            s.size == 1 for part in self.partitions for s in part
+        )
 
 
 @dataclass
@@ -73,14 +65,6 @@ class CoverReport:
     uncovered: list[tuple[int, int]]
     covered_fraction: float
     bound_comparison: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "total_sets": self.total_sets,
-            "uncovered": [list(p) for p in self.uncovered],
-            "covered_fraction": self.covered_fraction,
-            "bound_comparison": self.bound_comparison,
-        }
 
 
 class _CoverageTracker:

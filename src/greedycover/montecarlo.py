@@ -15,7 +15,7 @@ thread count cannot affect results.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -185,9 +185,6 @@ class ConditionalEstimate:
     predictions: list[dict]
     joint_freq: float
     predicted_joint: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _envelope_vacuous_through(host: Graph, ps: ParamSet, steps: int) -> bool:

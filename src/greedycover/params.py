@@ -12,7 +12,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class ParamSet:
             asymptotic-faithful coefficients remain expressible.
 
     Derived fields: k (process length), f0 (initial error), delta2 (codegree
-    cap), log_n, log_pn.
+    cap), log_n and log_pn; the two logs stay out of the repr, and so out of
+    the CLI payload.
     """
 
     n: int
@@ -39,8 +40,8 @@ class ParamSet:
     k: int = field(init=False)
     f0: float = field(init=False)
     delta2: float = field(init=False)
-    log_n: float = field(init=False)
-    log_pn: float = field(init=False)
+    log_n: float = field(init=False, repr=False)
+    log_pn: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -76,17 +77,6 @@ class ParamSet:
         object.__setattr__(self, "delta2", delta2)
         object.__setattr__(self, "log_n", log_n)
         object.__setattr__(self, "log_pn", log_pn)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "k_coef": self.k_coef,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "f0": self.f0,
-            "delta2": self.delta2,
-        }
 
 
 def derive_params(
@@ -127,9 +117,6 @@ class EnvelopePoint:
     upper: float
     active_lower: float
     active_upper: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def envelope(ps: ParamSet, i: int) -> EnvelopePoint:

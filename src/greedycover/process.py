@@ -25,7 +25,7 @@ that honours a thread count: fixed trial chunks, results in chunk order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +48,6 @@ class StepRecord:
     d_tilde: float
     f_i: float
     in_envelope: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class ProcessState:
@@ -211,7 +208,7 @@ class ProcessRun:
     """
 
     n: int
-    ps: ParamSet
+    params: ParamSet
     seed: int
     index: int
     chosen: VertexSet
@@ -220,20 +217,6 @@ class ProcessRun:
     tau: int
     sigma: list[int]
     completed_steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "params": self.ps.to_dict(),
-            "seed": self.seed,
-            "index": self.index,
-            "chosen": self.chosen.to_list(),
-            "order": list(self.order),
-            "records": [r.to_dict() for r in self.records],
-            "tau": self.tau,
-            "sigma": self.sigma,
-            "completed_steps": self.completed_steps,
-        }
 
 
 def run_draws(
@@ -252,7 +235,7 @@ def run_draws(
     tau = next((r.i for r in records if not r.in_envelope), completed)
     return ProcessRun(
         n=host.n,
-        ps=ps,
+        params=ps,
         seed=seed,
         index=index,
         chosen=VertexSet(host.n, state.chosen_mask),
@@ -341,25 +324,6 @@ class IncrementStats:
         """Entry (t, i-1) is live iff step i <= rho of tracked vertex t."""
         rho = np.array(self.rho, dtype=np.int64)
         return np.arange(self.completed_steps) < rho[:, None]
-
-    def to_dict(self) -> dict:
-        out = {
-            "tracked": self.tracked,
-            "completed_steps": self.completed_steps,
-            "dx_minus": self.dx_minus.tolist(),
-            "dx_plus": self.dx_plus.tolist(),
-            "x0_minus": self.x0_minus.tolist(),
-            "x0_plus": self.x0_plus.tolist(),
-            "rho": self.rho,
-            "max_abs_increment": self.max_abs_increment,
-            "mean_abs_increment": self.mean_abs_increment,
-            "bound_abs": self.bound_abs,
-            "bound_mean": self.bound_mean.tolist(),
-        }
-        if self.m_vj is not None:
-            out["m_vj"] = self.m_vj.tolist()
-            out["q_vj"] = self.q_vj.tolist()
-        return out
 
 
 def increment_bound(ps: ParamSet) -> float:
@@ -482,52 +446,29 @@ def increment_diagnostics(
 class EnsembleSummary:
     """Aggregates over independent runs.
 
-    ratio arrays compare the mean induced degree over V_i with p*(|V_i|-1)
-    per step, pooled over runs that reached the step with |V_i| > 1.  Drift
-    stats pool live increments of the tracked vertices across all runs.
+    ratio lists compare the mean induced degree over V_i with p*(|V_i|-1)
+    per step, pooled over runs that reached the step with |V_i| > 1; a step
+    that no run reached so holds None.  Drift stats pool live increments of
+    the tracked vertices across all runs.
     """
 
     trials: int
-    ps: ParamSet
+    params: ParamSet
     seed: int
     violation_runs: int
     tau_equals_completed_fraction: float
     completed_steps: list[int]
     set_sizes: list[int]
     step_counts: list[int]
-    ratio_mean: list[float]
-    ratio_min: list[float]
-    ratio_max: list[float]
+    ratio_mean: list[float | None]
+    ratio_min: list[float | None]
+    ratio_max: list[float | None]
     tracked: list[int]
     dx_minus_mean: float | None
     dx_minus_se: float | None
     dx_plus_mean: float | None
     dx_plus_se: float | None
     dx_count: int
-
-    def to_dict(self) -> dict:
-        def clean(xs: list[float]) -> list[float | None]:
-            return [None if math.isnan(x) else x for x in xs]
-
-        return {
-            "trials": self.trials,
-            "params": self.ps.to_dict(),
-            "seed": self.seed,
-            "violation_runs": self.violation_runs,
-            "tau_equals_completed_fraction": self.tau_equals_completed_fraction,
-            "completed_steps": self.completed_steps,
-            "set_sizes": self.set_sizes,
-            "step_counts": self.step_counts,
-            "ratio_mean": clean(self.ratio_mean),
-            "ratio_min": clean(self.ratio_min),
-            "ratio_max": clean(self.ratio_max),
-            "tracked": self.tracked,
-            "dx_minus_mean": self.dx_minus_mean,
-            "dx_minus_se": self.dx_minus_se,
-            "dx_plus_mean": self.dx_plus_mean,
-            "dx_plus_se": self.dx_plus_se,
-            "dx_count": self.dx_count,
-        }
 
 
 # A pool worker's (fn, args), set once by the pool initializer.
@@ -658,12 +599,10 @@ def ensemble_run(
         tot["dp_sq"] += part["dp_sq"]
         tot["dn"] += part["dn"]
 
-    count, rmin, rmax, dn = tot["count"], tot["rmin"], tot["rmax"], tot["dn"]
-    used = count > 0
-    ratio_mean = np.full(ps.k, np.nan)
-    ratio_mean[used] = tot["rsum"][used] / count[used]
-    rmin[~used] = np.nan
-    rmax[~used] = np.nan
+    count, dn = tot["count"], tot["dn"]
+
+    def reached(ratios: np.ndarray) -> list[float | None]:
+        return [r if c else None for r, c in zip(ratios.tolist(), count.tolist())]
 
     def moments(total: float, sq: float) -> tuple[float | None, float | None]:
         if dn == 0:
@@ -676,16 +615,16 @@ def ensemble_run(
     dp_mean, dp_se = moments(tot["dp_sum"], tot["dp_sq"])
     return EnsembleSummary(
         trials=trials,
-        ps=ps,
+        params=ps,
         seed=seed,
         violation_runs=tot["violations"],
         tau_equals_completed_fraction=1.0 - tot["violations"] / trials,
         completed_steps=tot["completed"],
         set_sizes=tot["sizes"],
         step_counts=count.tolist(),
-        ratio_mean=ratio_mean.tolist(),
-        ratio_min=rmin.tolist(),
-        ratio_max=rmax.tolist(),
+        ratio_mean=reached(tot["rsum"] / np.maximum(count, 1)),
+        ratio_min=reached(tot["rmin"]),
+        ratio_max=reached(tot["rmax"]),
         tracked=list(tracked),
         dx_minus_mean=dm_mean,
         dx_minus_se=dm_se,

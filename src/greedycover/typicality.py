@@ -19,7 +19,8 @@ the margin says by how much.  `strict_factor` shrinks every slack
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,63 +34,49 @@ P3_EXHAUSTIVE_LIMIT = 20000
 P3_CHUNK_BYTES = 1 << 22
 
 
+class P1Violation(NamedTuple):
+    S: list[int]
+    observed: int
+    interval: tuple[float, float]
+
+
+class P2Violation(NamedTuple):
+    v: int
+    degree: int
+    interval: tuple[float, float]
+
+
+class P3Violation(NamedTuple):
+    u: int
+    v: int
+    codegree: int
+
+
 @dataclass
 class P1Fragment:
     """Sampled non-neighbourhood check; `samples` keeps every (S, observed)."""
 
     subsets_tested: int
     max_size_tested: int
-    violations: list[tuple[list[int], int, tuple[float, float]]]
+    violations: list[P1Violation]
     margin_min: float | None
     samples: list[tuple[tuple[int, ...], int]] = field(repr=False)
     mode: str = "sampled"
 
-    def to_dict(self) -> dict:
-        return {
-            "subsets_tested": self.subsets_tested,
-            "max_size_tested": self.max_size_tested,
-            "violations": [
-                {"S": s, "observed": o, "interval": list(iv)}
-                for s, o, iv in self.violations
-            ],
-            "margin_min": self.margin_min,
-            "mode": self.mode,
-        }
-
 
 @dataclass
 class P2Fragment:
-    violations: list[tuple[int, int, tuple[float, float]]]
+    violations: list[P2Violation]
     margin_min: float
-
-    def to_dict(self) -> dict:
-        return {
-            "violations": [
-                {"v": v, "degree": d, "interval": list(iv)}
-                for v, d, iv in self.violations
-            ],
-            "margin_min": self.margin_min,
-        }
 
 
 @dataclass
 class P3Fragment:
-    violations: list[tuple[int, int, int]]
+    violations: list[P3Violation]
     max_codegree: int
     delta2: float
     pairs_tested: int
     mode: str = "exhaustive"
-
-    def to_dict(self) -> dict:
-        return {
-            "violations": [
-                {"u": u, "v": v, "codegree": c} for u, v, c in self.violations
-            ],
-            "max_codegree": self.max_codegree,
-            "delta2": self.delta2,
-            "pairs_tested": self.pairs_tested,
-            "mode": self.mode,
-        }
 
 
 @dataclass
@@ -102,9 +89,6 @@ class ETableRow:
     threshold: float
     threshold_ok: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TypicalityReport:
@@ -114,16 +98,6 @@ class TypicalityReport:
     typical: bool
     e_table: list[ETableRow]
     strict_factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p1": self.p1.to_dict(),
-            "p2": self.p2.to_dict(),
-            "p3": self.p3.to_dict(),
-            "typical": self.typical,
-            "e_table": [row.to_dict() for row in self.e_table],
-            "strict_factor": self.strict_factor,
-        }
 
 
 def _check_strict_factor(strict_factor: float) -> None:
@@ -141,7 +115,7 @@ def check_p2(g: Graph, ps: ParamSet, strict_factor: float = 1.0) -> P2Fragment:
     degs = g.degree_array()
     dev = np.abs(degs - pn)
     bad = np.nonzero(dev > slack)[0]
-    violations = [(int(v), int(degs[v]), (lo, hi)) for v in bad]
+    violations = [P2Violation(int(v), int(degs[v]), (lo, hi)) for v in bad]
     margin = float(dev.max() / slack) if g.n else 0.0
     return P2Fragment(violations=violations, margin_min=margin)
 
@@ -161,7 +135,7 @@ def check_p3(
     _check_strict_factor(strict_factor)
     check_host_n(ps, g)
     cap = strict_factor * ps.delta2
-    violations: list[tuple[int, int, int]] = []
+    violations: list[P3Violation] = []
     max_codeg = 0
     pairs = 0
 
@@ -178,7 +152,7 @@ def check_p3(
                 max_codeg = max(max_codeg, int(counts.max()))
                 for off in np.nonzero(counts > cap)[0]:
                     v = u + 1 + int(off)
-                    violations.append((u, v, int(counts[off])))
+                    violations.append(P3Violation(u, v, int(counts[off])))
     else:
         mode = "sampled"
         if pair_sample < 1:
@@ -200,7 +174,7 @@ def check_p3(
         max_codeg = int(counts.max())
         for idx in np.nonzero(counts > cap)[0]:
             u, v = int(us[idx]), int(vs[idx])
-            violations.append((min(u, v), max(u, v), int(counts[idx])))
+            violations.append(P3Violation(min(u, v), max(u, v), int(counts[idx])))
 
     return P3Fragment(
         violations=violations,
@@ -257,7 +231,7 @@ def check_p1(
     ]
 
     samples: list[tuple[tuple[int, ...], int]] = []
-    violations: list[tuple[list[int], int, tuple[float, float]]] = []
+    violations: list[P1Violation] = []
     worst = 0.0
     tested = 0
 
@@ -272,7 +246,7 @@ def check_p1(
         samples.append((subset, obs))
         worst = max(worst, abs(obs - mu) / slack)
         if not lo <= obs <= hi:
-            violations.append((list(subset), obs, (lo, hi)))
+            violations.append(P1Violation(list(subset), obs, (lo, hi)))
 
     for s in range(1, max_size + 1):
         gen = _rng.stream(seed, _rng.SUBSET, s)

@@ -16,8 +16,8 @@ import sys
 
 import pytest
 
-from greedycover.cli import FLAGS, PATHS, execute, main, parse_args
-from greedycover.cover import build_theta1_adaptive, verify_cover
+from greedycover.cli import FLAGS, PATHS, execute, main, parse_args, plain
+from greedycover.cover import PartitionCover, build_theta1_adaptive, verify_cover
 from greedycover.graph import (
     Graph,
     VertexSet,
@@ -29,6 +29,7 @@ from greedycover.graph import (
 from greedycover.montecarlo import estimate_membership
 from greedycover.params import ParamSet, bound_formulas
 from greedycover.process import ensemble_run, run
+from greedycover.typicality import is_typical
 
 
 def star(n):
@@ -139,6 +140,11 @@ class TestParse:
             ["estimate", "--what", "bipartite", "--a", "10", "--b", "0", "--k", "3"],
             ["estimate", "--what", "bipartite", "--a", "3", "--b", "20", "--k", "5"],
             ["estimate", "--what", "bipartite", "--a", "-1", "--b", "5", "--k", "2"],
+            # chain steps and vertices that are bad on any host
+            CHAIN[:9] + ["--i", "0", "--j", "2", "--u", "0", "--v", "1"],
+            CHAIN[:9] + ["--i", "3", "--j", "3", "--u", "0", "--v", "1"],
+            CHAIN[:9] + ["--i", "1", "--j", "3", "--u", "2", "--v", "2"],
+            CHAIN[:9] + ["--i", "1", "--j", "3", "--u", "-1", "--v", "1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -270,6 +276,49 @@ class TestDefaults:
         assert probed > 0
 
 
+class TestPlain:
+    """`plain` writes a record as the fields it shows, recursively."""
+
+    def test_param_set_shows_its_payload_only(self):
+        assert list(plain(ParamSet(60, 0.2))) == [
+            "n", "p", "k_coef", "epsilon", "k", "f0", "delta2"
+        ]
+
+    def test_violations_keep_their_keys(self):
+        # the dense host of the golden cases, checked against a sparse p
+        host = gnp_sample(40, 0.9, 1)
+        report = is_typical(host, ParamSet(40, 0.05), budget=2, strict_factor=0.05)
+        d = plain(report)
+        assert report.p1.samples and "samples" not in d["p1"]
+        for name, keys in [
+            ("p1", {"S", "observed", "interval"}),
+            ("p2", {"v", "degree", "interval"}),
+            ("p3", {"u", "v", "codegree"}),
+        ]:
+            assert d[name]["violations"]
+            assert all(set(v) == keys for v in d[name]["violations"])
+        p2 = report.p2.violations[0]
+        assert d["p2"]["violations"][0] == {
+            "v": p2.v, "degree": p2.degree, "interval": list(p2.interval)
+        }
+        assert d["p3"]["violations"][0] == {"u": 0, "v": 1, "codegree": 31}
+        assert report.p3.violations[0] == (0, 1, 31)  # still a tuple
+
+    def test_vertex_sets_become_sorted_lists(self):
+        assert plain(VertexSet.from_iterable(9, [7, 2, 5])) == [2, 5, 7]
+        assert plain({"a": (VertexSet(3, 0b101),)}) == {"a": [[0, 2]]}
+
+    def test_singleton_count_counts_size_one_cells(self):
+        cells = [VertexSet.from_iterable(6, c) for c in ([0, 1], [2], [3, 4], [5])]
+        cover = PartitionCover(partitions=[cells[:2], cells[2:]], host_n=6)
+        assert cover.singleton_count == 2
+        assert plain(cover) == {
+            "partitions": [[[0, 1], [2]], [[3, 4], [5]]],
+            "host_n": 6,
+            "singleton_count": 2,
+        }
+
+
 class TestGen:
     def test_stdout_matches_library(self, capsys):
         assert main(["gen", "--n", "40", "--p", "0.2", "--seed", "3"]) == 0
@@ -292,7 +341,7 @@ class TestRun:
         assert code == 0
         assert doc["schema_version"] == 1
         assert doc["config"]["subcommand"] == "run"
-        expected = run(gnp_sample(60, 0.2, 5), ParamSet(60, 0.2), 5).to_dict()
+        expected = plain(run(gnp_sample(60, 0.2, 5), ParamSet(60, 0.2), 5))
         assert doc["run"] == json.loads(json.dumps(expected))
 
     def test_input_equals_generated(self, tmp_path, capsys):
@@ -326,9 +375,9 @@ class TestRun:
         )
         assert code == 0
         host = gnp_sample(80, 0.1, 2)
-        expected = ensemble_run(
+        expected = plain(ensemble_run(
             host, ParamSet(80, 0.1), trials=16, seed=2, tracked=(0, 1, 2)
-        ).to_dict()
+        ))
         assert doc["ensemble"] == json.loads(json.dumps(expected))
 
 
@@ -363,7 +412,7 @@ class TestCover:
         cover, count = build_theta1_adaptive(host, ps, seed=1)
         report = verify_cover(host, cover, ps=ps, adaptive_count=count)
         assert doc["adaptive_count"] == count
-        assert doc["verification"] == json.loads(json.dumps(report.to_dict()))
+        assert doc["verification"] == json.loads(json.dumps(plain(report)))
         assert doc["verification"]["covered_fraction"] == 1.0
         for members in doc["cover"]["sets"]:
             assert is_independent(host, VertexSet.from_iterable(80, members))
@@ -461,9 +510,10 @@ class TestEstimate:
         assert "no independent" in capsys.readouterr().err
 
     def test_chain_bad_step_exit_1(self, capsys):
+        # j beyond the host's k = 6 depends on the host, so it is no usage error
         code = main(
             ["estimate", "--what", "chain", "--n", "60", "--p", "0.2", "--seed", "3",
-             "--i", "0", "--j", "2", "--u", "0", "--v", "1", "--trials", "10"]
+             "--i", "1", "--j", "7", "--u", "0", "--v", "1", "--trials", "10"]
         )
         assert code == 1
 

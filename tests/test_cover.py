@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from greedycover import rng
+from greedycover.cli import plain
 from greedycover.cover import (
     Cover,
     CoverStructureError,
@@ -255,6 +256,6 @@ class TestVerify:
     def test_report_serialization(self):
         host = Graph.from_rows([0] * 6)
         cover = Cover(sets=[VertexSet.from_iterable(6, range(6))], host_n=6)
-        d = verify_cover(host, cover).to_dict()
+        d = plain(verify_cover(host, cover))
         assert d["covered_fraction"] == 1.0
         assert d["uncovered"] == [] and d["total_sets"] == 1

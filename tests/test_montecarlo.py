@@ -18,6 +18,7 @@ import pytest
 
 from greedycover import montecarlo as mc
 from greedycover import rng
+from greedycover.cli import plain
 from greedycover.graph import (
     Graph,
     VertexSet,
@@ -267,7 +268,7 @@ class TestConditionalChain:
         ps = ParamSet(12, 0.5, k_coef=2.0)
         a = estimate_conditional_chain(host, ps, 1, 2, 0, 1, 500, seed=8)
         b = estimate_conditional_chain(host, ps, 1, 2, 0, 1, 500, seed=8)
-        assert a.to_dict() == b.to_dict()
+        assert plain(a) == plain(b)
 
     def test_validation(self):
         host = gnp_sample(50, 0.2, seed=0)

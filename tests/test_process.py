@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from greedycover import process, rng
+from greedycover.cli import plain
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f, expected_degree
 from greedycover.process import (
@@ -197,9 +198,9 @@ class TestRunContract:
         with pytest.raises(ValueError):
             run(host, ParamSet(40, 0.2), seed=0)
 
-    def test_run_to_dict_shape(self):
+    def test_run_payload_shape(self):
         host = gnp_sample(30, 0.2, seed=0)
-        d = run(host, ParamSet(30, 0.2), seed=0).to_dict()
+        d = plain(run(host, ParamSet(30, 0.2), seed=0))
         assert d["n"] == 30 and len(d["sigma"]) == 30
         assert d["completed_steps"] == len(d["records"])
         assert set(d["records"][0]) >= {
@@ -426,7 +427,7 @@ class TestEnsemble:
         ps = ParamSet(50, 0.2)
         one = ensemble_run(host, ps, 70, seed=3, tracked=(1, 2), threads=1)
         two = ensemble_run(host, ps, 70, seed=3, tracked=(1, 2), threads=2)
-        assert one.to_dict() == two.to_dict()
+        assert plain(one) == plain(two)
 
     def test_drift_pooling(self):
         host = gnp_sample(50, 0.2, seed=6)

@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from greedycover import rng, typicality
+from greedycover.cli import plain
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f
 from greedycover.typicality import (
@@ -316,7 +317,7 @@ class TestIsTypical:
         assert report.p1.mode == "sampled"
         assert report.p3.mode == "exhaustive"
         assert len(report.e_table) == report.p1.max_size_tested
-        d = report.to_dict()
+        d = plain(report)
         assert d["typical"] is True
         assert set(d) == {"p1", "p2", "p3", "typical", "e_table", "strict_factor"}
 
@@ -349,6 +350,6 @@ class TestIsTypical:
     def test_determinism(self):
         g = gnp_sample(300, 0.1, seed=8)
         ps = ParamSet(300, 0.1)
-        a = is_typical(g, ps, budget=6, seed=2).to_dict()
-        b = is_typical(g, ps, budget=6, seed=2).to_dict()
+        a = plain(is_typical(g, ps, budget=6, seed=2))
+        b = plain(is_typical(g, ps, budget=6, seed=2))
         assert a == b
