@@ -54,8 +54,10 @@ class PartitionCover:
     singleton_count: int = field(init=False)
 
     def __post_init__(self) -> None:
+        # bit_count, not `size`: that cached property would store a value on
+        # every cell, ~100 bytes each
         self.singleton_count = sum(
-            s.size == 1 for part in self.partitions for s in part
+            s.members.bit_count() == 1 for part in self.partitions for s in part
         )
 
 
