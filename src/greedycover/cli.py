@@ -502,9 +502,13 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
 
 def _execute_bounds(cfg: RunConfig) -> tuple:
     ps = _params(cfg, cfg.n)
+    try:
+        bounds = bound_formulas(ps, c_eps=cfg.c_eps)
+    except ValueError as exc:
+        raise _SetupError(str(exc)) from exc
     body = {
         "params": ps,
-        "bounds": bound_formulas(ps, c_eps=cfg.c_eps),
+        "bounds": bounds,
         "envelope": [envelope(ps, i) for i in range(ps.k + 1)],
     }
     return body, f"bounds: k={ps.k}", 0

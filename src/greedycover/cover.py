@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, first_edge_inside, non_edge_count, non_edges
+from .graph import Graph, VertexSet, bits, first_edge_inside, non_edge_count, non_edges
 from .params import ParamSet, bound_formulas, check_host_n
 from .process import sample_independent_set
 
@@ -54,11 +54,7 @@ class PartitionCover:
     singleton_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        # bit_count, not `size`: that cached property would store a value on
-        # every cell, ~100 bytes each
-        self.singleton_count = sum(
-            s.members.bit_count() == 1 for part in self.partitions for s in part
-        )
+        self.singleton_count = sum(s.size == 1 for part in self.partitions for s in part)
 
 
 @dataclass
@@ -81,14 +77,10 @@ class _CoverageTracker:
     def add(self, mask: int) -> int:
         """Mark all pairs inside `mask` covered; returns newly covered count."""
         delta = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            new = mask & ~self.covered_with[v] & ~low
-            delta += new.bit_count()
-            self.covered_with[v] |= mask & ~low
+        for v in bits(mask):
+            others = mask & ~(1 << v)
+            delta += (others & ~self.covered_with[v]).bit_count()
+            self.covered_with[v] |= others
         # each new pair was counted once from each endpoint
         self.covered += delta // 2
         return delta // 2
@@ -232,7 +224,7 @@ def verify_cover(
             for j, vs in enumerate(part):
                 overlap = union & vs.members
                 if overlap:
-                    w = (overlap & -overlap).bit_length() - 1
+                    w = next(bits(overlap))
                     raise CoverStructureError(
                         f"partition {i}: set {j} shares vertex {w} "
                         f"with an earlier set"

@@ -16,7 +16,6 @@ which validates rows given by the caller (bit range, self-loops, symmetry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,7 +23,25 @@ import numpy as np
 from . import rng as _rng
 
 
-@dataclass(frozen=True)
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative int mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_bits(mask: int, n: int) -> np.ndarray:
+    """0/1 uint8 vector of length n for an int bit mask."""
+    w = max((n + 7) // 8, 1)
+    return np.unpackbits(
+        np.frombuffer(mask.to_bytes(w, "little"), dtype=np.uint8),
+        count=n,
+        bitorder="little",
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """A set of vertices of an n-vertex graph, stored as a bit-vector.
 
@@ -42,7 +59,7 @@ class VertexSet:
         if self.members < 0 or self.members >> self.n:
             raise ValueError("members has bits outside 0..n-1")
 
-    @cached_property
+    @property
     def size(self) -> int:
         return self.members.bit_count()
 
@@ -70,11 +87,7 @@ class VertexSet:
         return 0 <= v < self.n and (self.members >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.members
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return bits(self.members)
 
     def __len__(self) -> int:
         return self.size
@@ -303,11 +316,7 @@ def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list text format, lexicographic edge order."""
     out = [f"{g.n} {g.edge_count}"]
     for u in range(g.n):
-        higher = g.row(u) >> (u + 1)
-        while higher:
-            low = higher & -higher
-            out.append(f"{u} {u + low.bit_length()}")
-            higher ^= low
+        out.extend(f"{u} {u + 1 + w}" for w in bits(g.row(u) >> (u + 1)))
     return "\n".join(out) + "\n"
 
 
@@ -318,13 +327,9 @@ def common_non_neighbourhood(g: Graph, s: VertexSet) -> VertexSet:
     """
     if s.n != g.n:
         raise ValueError("vertex set is for a different n")
-    mask = g.full_mask
-    m = s.members
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        mask &= ~(g.row(v) | low)
-        m ^= low
+    mask = g.full_mask & ~s.members
+    for v in bits(s.members):
+        mask &= ~g.row(v)
     return VertexSet(g.n, mask)
 
 
@@ -338,11 +343,7 @@ def codegree(g: Graph, u: int, v: int) -> int:
 def first_edge_inside(g: Graph, mask: int) -> tuple[int, int] | None:
     """The lexicographically least edge (u, v), u < v, of g inside the vertex
     mask, or None when the mask is independent."""
-    m = mask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
+    for u in bits(mask):
         inside = g.row(u) & mask
         if inside:
             # u is the least member with a neighbour in the mask, so v > u
@@ -366,7 +367,4 @@ def non_edges(g: Graph) -> Iterator[tuple[int, int]]:
     """Yield all unordered non-adjacent pairs (u, v), u < v."""
     for u in range(g.n - 1):
         missing = (~g.row(u)) & (g.full_mask >> (u + 1) << (u + 1))
-        while missing:
-            low = missing & -missing
-            yield (u, low.bit_length() - 1)
-            missing ^= low
+        yield from ((u, v) for v in bits(missing))

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, complete_bipartite, is_independent
-from .graph import non_edge_count, non_edges
+from .graph import mask_bits, non_edge_count, non_edges
 from .params import ParamSet, check_host_n, envelope, error_f
-from .process import _mask_bits, _take, chunked_map, init, sample_independent_set, step
+from .process import _take, chunked_map, init, sample_independent_set, step
 
 PAIR_SAMPLE_DEFAULT = 200
 MIN_CELL_TRIALS = 100
@@ -105,7 +105,7 @@ def _membership_chunk(
     sizes = 0
     for row in _rng.trial_rows(seed, _rng.MEMBERSHIP, start, stop, k):
         mask = sample_independent_set(host, k, row)
-        bits = _mask_bits(mask, n)
+        bits = mask_bits(mask, n)
         vcount += bits
         if len(us):
             pcount += bits[us] & bits[vs]

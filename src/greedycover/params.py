@@ -48,10 +48,12 @@ class ParamSet:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if self.p * self.n <= 1.0:
-            raise ValueError(
-                f"p*n must exceed 1 (log pn must be positive), got {self.p * self.n}"
-            )
+        try:
+            pn = self.p * self.n
+        except OverflowError:
+            raise ValueError("n is too large: p*n does not fit in a float") from None
+        if pn <= 1.0:
+            raise ValueError(f"p*n must exceed 1 (log pn must be positive), got {pn}")
         coef = self.k_coef
         if self.epsilon is not None:
             if not 0.0 < self.epsilon < 1.0:
@@ -61,7 +63,7 @@ class ParamSet:
         if coef <= 0.0:
             raise ValueError(f"k_coef must be positive, got {coef}")
         log_n = math.log(self.n)
-        log_pn = math.log(self.p * self.n)
+        log_pn = math.log(pn)
         x = coef / self.p * log_pn
         if not math.isfinite(x):
             raise ValueError(f"k_coef / p * log(pn) must be finite, got {x}")
@@ -70,7 +72,7 @@ class ParamSet:
             raise ValueError(
                 f"derived process length k = {k} < 1; increase k_coef or p*n"
             )
-        f0 = 4.0 * log_n * math.sqrt(log_pn / (self.p * self.n) + self.p)
+        f0 = 4.0 * log_n * math.sqrt(log_pn / pn + self.p)
         delta2 = 4.0 * self.p**2 * self.n + 128.0 * log_n
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "f0", f0)
@@ -181,13 +183,19 @@ def bound_formulas(ps: ParamSet, c_eps: float = 1.0) -> dict:
             and the adaptive builder reports the empirically sufficient value.
         t_theta1: flat-cover budget, ceil(6 * k^-2 * n^2 * log n).
         mrss_lower: known lower-bound comparator p*n*log(1/p) / (5 log n).
+    A budget that is not finite (n or c_eps too large) raises ValueError.
     """
     if not 0 < c_eps < math.inf:
         raise ValueError(f"c_eps must be positive and finite, got {c_eps}")
     n, k = ps.n, ps.k
-    return {
-        "s_pdim": math.ceil(n / k),
-        "t_pdim": math.ceil(c_eps * n * ps.log_n / k),
-        "t_theta1": math.ceil(6.0 * n * n * ps.log_n / (k * k)),
-        "mrss_lower": ps.p * n * math.log(1.0 / ps.p) / (5.0 * ps.log_n),
+    out = {
+        "s_pdim": n / k,
+        "t_pdim": c_eps * n * ps.log_n / k,
+        "t_theta1": 6.0 * n * n * ps.log_n / (k * k),
     }
+    for name, budget in out.items():
+        if not math.isfinite(budget):
+            raise ValueError(f"{name} budget is not finite; lower n or c_eps")
+        out[name] = math.ceil(budget)
+    out["mrss_lower"] = ps.p * n * math.log(1.0 / ps.p) / (5.0 * ps.log_n)
+    return out

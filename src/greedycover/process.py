@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, mask_bits
 from .params import ParamSet, check_host_n, error_f, expected_degree
 
 
@@ -105,16 +105,6 @@ def init(host: Graph, ps: ParamSet) -> ProcessState:
     return ProcessState(host, ps)
 
 
-def _mask_bits(mask: int, n: int) -> np.ndarray:
-    """0/1 uint8 vector of length n for an int bit mask."""
-    w = max((n + 7) // 8, 1)
-    return np.unpackbits(
-        np.frombuffer(mask.to_bytes(w, "little"), dtype=np.uint8),
-        count=n,
-        bitorder="little",
-    )
-
-
 def _take(
     host: Graph, ids: list[int], pos: list[int], active: int, u: float
 ) -> tuple[int, int]:
@@ -128,6 +118,7 @@ def _take(
     na = len(ids)
     v = ids[min(int(u * na), na - 1)]
     removed = (host.row(v) | (1 << v)) & active
+    # graph.bits written inline: this is every workload's per-step hot loop
     m = removed
     while m:
         low = m & -m
@@ -154,7 +145,7 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
     state.chosen_mask |= 1 << v
     state.step = i
     # as indices: gathering packed rows by index is cheaper than by boolean mask
-    removed = np.flatnonzero(_mask_bits(rm_mask, host.n))
+    removed = np.flatnonzero(mask_bits(rm_mask, host.n))
     state.sigma_raw[removed] = i
 
     # degrees[w] -= |N(w) ∩ removed| for surviving w, computed as the column

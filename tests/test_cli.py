@@ -537,6 +537,23 @@ class TestBounds:
         assert main(["bounds", "--n", "1000", "--p", "0.05", "--k-coef", "inf"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # t_pdim = ceil(inf)
+            ["--n", "1000", "--p", "0.05", "--c-eps", "1e308"],
+            # t_theta1 = ceil(6 n^2 log n / k^2) overflows to inf
+            ["--n", str(10**200), "--p", "0.5"],
+            # p * n: the int n does not fit in a float
+            ["--n", str(10**400), "--p", "0.5"],
+        ],
+        ids=["c_eps_1e308", "n_1e200", "n_1e400"],
+    )
+    def test_numeric_overflow_exit_2(self, argv, capsys):
+        assert main(["bounds", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
 
 class TestExitCodesAndIO:
     def test_missing_input_file_exit_1(self, capsys):

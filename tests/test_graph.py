@@ -6,9 +6,11 @@ neighbor dicts of Python sets, rebuilt from the edge-list text.
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,13 @@ from greedycover import (
     to_edge_list,
 )
 from greedycover import rng as grng
-from greedycover.graph import _SYMMETRY_BLOCK, first_edge_inside, non_edge_count
+from greedycover.graph import (
+    _SYMMETRY_BLOCK,
+    bits,
+    first_edge_inside,
+    mask_bits,
+    non_edge_count,
+)
 from greedycover.params import ParamSet
 from greedycover.typicality import check_p3
 from numpy_oracle import numpy_stream
@@ -73,6 +81,56 @@ class TestVertexSet:
             VertexSet.from_iterable(4, [4])
         assert VertexSet.empty(5).size == 0
         assert VertexSet.full(5).size == 5
+
+    def test_slotted_reading_size_stores_nothing(self):
+        s = VertexSet(70, (1 << 69) | 0b1011)
+        assert not hasattr(s, "__dict__")
+        assert s.size == 4
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.members = 0
+        # a frozen slotted dataclass raises TypeError here on Python 3.11
+        with pytest.raises((AttributeError, TypeError)):
+            s.extra = 1
+        with pytest.raises(TypeError):
+            weakref.ref(s)
+
+    def test_pickle_and_deepcopy_roundtrip(self):
+        s = VertexSet.from_iterable(130, [0, 5, 64, 129])
+        for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert t == s and hash(t) == hash(s)
+            assert t.to_list() == [0, 5, 64, 129] and t.size == 4
+        assert s != VertexSet.from_iterable(131, [0, 5, 64, 129])
+        assert len({s, copy.deepcopy(s), VertexSet.empty(130)}) == 2
+
+
+def _naive_bits(m: int) -> list[int]:
+    return [v for v in range(m.bit_length()) if m >> v & 1]
+
+
+class TestBitHelpers:
+    def test_bits_edge_cases(self):
+        assert list(bits(0)) == []
+        assert list(bits(1 << 200)) == [200]
+        assert list(bits((1 << 70) - 1)) == list(range(70))
+
+    def test_bits_against_naive_on_random_masks(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        for _ in range(300):
+            width = int(rng.integers(1, 400))
+            m = int.from_bytes(rng.bytes((width + 7) // 8), "little") >> (-width % 8)
+            assert list(bits(m)) == _naive_bits(m)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65])
+    def test_mask_bits_against_naive(self, n):
+        rng = np.random.Generator(np.random.Philox(key=n))
+        masks = [0, (1 << n) - 1] + [
+            int.from_bytes(rng.bytes(9), "little") & ((1 << n) - 1) for _ in range(50)
+        ]
+        for m in masks:
+            got = mask_bits(m, n)
+            assert got.dtype == np.uint8 and got.shape == (n,)
+            assert got.tolist() == [m >> v & 1 for v in range(n)]
 
 
 class TestConstructors:
