@@ -10,9 +10,14 @@ result is always the prefix of the fixed-budget result: run r of the flat
 family uses stream (seed, COVER_FLAT, r), and draw j of partition i uses
 (seed, COVER_PART, i*s + j).
 
-`verify_cover` re-checks everything from scratch: set independence,
-within-partition disjointness (raising on structural violations, naming
-the offender), and exhaustive non-edge coverage.
+`verify_cover` re-checks everything from scratch, walking the cells in
+place: its extra memory is one n-bit coverage mask per vertex, and no
+object per cell.  In order it checks within-partition disjointness over all
+partitions ("partition i: set j shares vertex w with an earlier set"), then
+each cell in cover order for its host size ("NAME is for a different host
+size", a ValueError) and independence ("NAME contains edge (u, v)"), then
+non-edge coverage.  NAME is "set j" or "partition i set j", formatted only
+for the offender.
 """
 
 from __future__ import annotations
@@ -207,18 +212,14 @@ def verify_cover(
     """Re-check structure and coverage of a cover object from scratch.
 
     Raises CoverStructureError naming the offender if any set spans an edge
-    or two cells of one partition intersect; otherwise reports coverage.
-    bound_comparison is filled only when ps is given.
+    or two cells of one partition intersect (checks and messages in the
+    module docstring); otherwise reports coverage.  bound_comparison is
+    filled only when ps is given.
     """
     if cover.host_n != host.n:
         raise ValueError("cover is for a different host size")
 
     if isinstance(cover, PartitionCover):
-        labeled = [
-            (f"partition {i} set {j}", vs)
-            for i, part in enumerate(cover.partitions)
-            for j, vs in enumerate(part)
-        ]
         for i, part in enumerate(cover.partitions):
             union = 0
             for j, vs in enumerate(part):
@@ -230,19 +231,21 @@ def verify_cover(
                         f"with an earlier set"
                     )
                 union |= vs.members
+        groups = ((f"partition {i} ", part) for i, part in enumerate(cover.partitions))
     else:
-        labeled = [(f"set {idx}", vs) for idx, vs in enumerate(cover.sets)]
-
-    for name, vs in labeled:
-        if vs.n != host.n:
-            raise ValueError(f"{name} is for a different host size")
-        edge = first_edge_inside(host, vs.members)
-        if edge is not None:
-            raise CoverStructureError(f"{name} contains edge {edge}")
+        groups = [("", cover.sets)]
 
     tracker = _CoverageTracker(host)
-    for _, vs in labeled:
-        tracker.add(vs.members)
+    total_sets = 0
+    for prefix, part in groups:
+        for j, vs in enumerate(part):
+            if vs.n != host.n:
+                raise ValueError(f"{prefix}set {j} is for a different host size")
+            edge = first_edge_inside(host, vs.members)
+            if edge is not None:
+                raise CoverStructureError(f"{prefix}set {j} contains edge {edge}")
+            tracker.add(vs.members)
+        total_sets += len(part)
     uncovered = tracker.uncovered_pairs()
     fraction = 1.0 if tracker.total == 0 else tracker.covered / tracker.total
 
@@ -255,7 +258,7 @@ def verify_cover(
             "adaptive_count": adaptive_count,
         }
     return CoverReport(
-        total_sets=len(labeled),
+        total_sets=total_sets,
         uncovered=uncovered,
         covered_fraction=fraction,
         bound_comparison=comparison,

@@ -101,7 +101,7 @@ _SYMMETRY_BLOCK = 512
 class Graph:
     """Immutable simple undirected graph with bit-vector adjacency rows."""
 
-    __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees")
+    __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees", "_ids")
 
     def __init__(self, n: int, rows: tuple[int, ...], edge_count: int):
         self.n = n
@@ -109,6 +109,7 @@ class Graph:
         self.edge_count = edge_count
         self._packed = None
         self._degrees = None
+        self._ids = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -159,6 +160,12 @@ class Graph:
             self._degrees = np.array(self.degrees(), dtype=np.int64)
             self._degrees.flags.writeable = False
         return self._degrees
+
+    def vertex_ids(self) -> list[int]:
+        """A new list 0..n-1, copied from one built once per graph."""
+        if self._ids is None:
+            self._ids = list(range(self.n))
+        return self._ids.copy()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self._rows[u] >> v) & 1 == 1

@@ -230,8 +230,7 @@ def _chain_trial_light(
 ) -> int:
     """Steps survived by the viability chain in one trial (0..j); ps is unread."""
     active = host.full_mask
-    ids = list(range(host.n))
-    pos = list(range(host.n))
+    ids, pos = host.vertex_ids(), host.vertex_ids()
     for t in range(1, j + 1):
         if not ids:
             return t - 1

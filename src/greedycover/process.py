@@ -78,8 +78,7 @@ class ProcessState:
         self.ps = ps
         self.step = 0
         self.active_mask = host.full_mask
-        self.ids = list(range(n))
-        self.pos = list(range(n))
+        self.ids, self.pos = host.vertex_ids(), host.vertex_ids()
         self.degrees = host.degree_array().copy()
         self.chosen_list: list[int] = []
         self.chosen_mask = 0
@@ -266,10 +265,8 @@ def sample_independent_set(host: Graph, k: int, draws: np.ndarray) -> int:
     uniforms, because both map the t-th uniform through
     floor(u * active_size) against the same swap-removal order.
     """
-    n = host.n
     active = host.full_mask
-    ids = list(range(n))
-    pos = list(range(n))
+    ids, pos = host.vertex_ids(), host.vertex_ids()
     chosen = 0
     for t in range(k):
         if not ids:

@@ -7,6 +7,8 @@ the pairs inside every cover set and compares with all non-edges.
 from __future__ import annotations
 
 import itertools
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -233,6 +235,66 @@ class TestVerify:
         )
         with pytest.raises(CoverStructureError, match="partition 0: set 1 shares vertex 1"):
             verify_cover(host, bad)
+
+    def test_edge_inside_partition_cell_raises(self):
+        host = gnp_sample(40, 0.3, seed=1)
+        u, v = next((u, v) for u in range(40) for v in range(u + 1, 40)
+                    if host.has_edge(u, v))
+        x = next(x for x in range(40) if x not in (u, v))
+        bad = PartitionCover(
+            partitions=[
+                [VertexSet.from_iterable(40, [x])],
+                [VertexSet.from_iterable(40, [x]), VertexSet.from_iterable(40, [u, v])],
+            ],
+            host_n=40,
+        )
+        with pytest.raises(
+            CoverStructureError, match=f"^partition 1 set 1 contains edge .{u}, {v}.$"
+        ):
+            verify_cover(host, bad)
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_set_for_other_host_size_raises(self, partitioned):
+        host = Graph.from_rows([0] * 10)
+        sets = [VertexSet.from_iterable(10, [0, 1]), VertexSet.from_iterable(11, [2, 3])]
+        if partitioned:
+            bad, name = PartitionCover(partitions=[[], sets], host_n=10), "partition 1 set 1"
+        else:
+            bad, name = Cover(sets=sets, host_n=10), "set 1"
+        with pytest.raises(ValueError, match=f"^{name} is for a different host size$") as err:
+            verify_cover(host, bad)
+        assert err.type is ValueError
+
+    def test_disjointness_checked_before_independence(self):
+        # the edge sits in partition 0, the overlap only in partition 1
+        host = Graph.from_rows([0b10, 0b01] + [0] * 8)
+        bad = PartitionCover(
+            partitions=[
+                [VertexSet.from_iterable(10, [0, 1])],
+                [VertexSet.from_iterable(10, [2, 3]), VertexSet.from_iterable(10, [3, 4])],
+            ],
+            host_n=10,
+        )
+        with pytest.raises(CoverStructureError, match="^partition 1: set 1 shares vertex 3"):
+            verify_cover(host, bad)
+
+    def test_verify_makes_no_object_per_cell(self):
+        host = gnp_sample(300, 0.1, 0)
+        cover, _ = build_pdim_adaptive(host, ParamSet(300, 0.1), seed=0)
+        data = pickle.dumps(cover)
+        del cover  # the traced copy below is the one verified
+        tracemalloc.start()
+        try:
+            cover = pickle.loads(data)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = verify_cover(host, cover)
+            peak = tracemalloc.get_traced_memory()[1] - size
+        finally:
+            tracemalloc.stop()
+        assert report.total_sets == sum(map(len, cover.partitions)) > 4000
+        # n coverage masks of n bits, about 23 KB against a cover of about 1 MB
+        assert peak < 0.1 * size
 
     def test_host_size_mismatch(self):
         host = Graph.from_rows([0] * 10)

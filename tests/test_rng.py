@@ -268,13 +268,14 @@ COVER = ["cover", "--n", "60", "--p", "0.2", "--mode"]
 RUN = ["run", "--n", "60", "--p", "0.2", "--trials", "40", "--tracked", "3", "--threads"]
 HOSTED = ["--n", "60", "--p", "0.2", "--trials", "300"]
 UNIFORM = ["estimate", "--what", "uniform", "--n", "20", "--p", "0.2", "--k", "3"]
+BIPARTITE = ["estimate", "--what", "bipartite", "--a", "10", "--b", "20", "--k", "3",
+             "--trials", "2000"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["estimate", "--what", "bipartite", "--a", "10", "--b", "20", "--k", "3",
-         "--trials", "2000"],
+        BIPARTITE,
         # the chain full path on a host too dense for --p, as in test_golden
         ["estimate", "--what", "chain", "--input", "HOST", "--p", "0.05", "--seed",
          "5", "--i", "1", "--j", "2", "--u", "0", "--v", "5", "--trials", "300"],
@@ -313,6 +314,27 @@ def test_path_never_imports_numpy_random(argv, tmp_path):
         f"    assert main({argv!r}) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
+    assert fresh_interpreter(code) == "False"
+
+
+def test_single_process_paths_never_import_the_pool():
+    # bipartite's peak RSS is that of the process that imports the package;
+    # loading the pool modules there would add about 1 MB
+    code = (
+        "import contextlib, io, sys\n"
+        "import greedycover, greedycover.cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "assert not set(pool) & set(sys.modules), 'imported by the package'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert greedycover.cli.main({BIPARTITE!r}) == 0\n"
+        f"    assert greedycover.cli.main({COVER + ['adaptive']!r}) == 0\n"
+        "print(sorted(set(pool) & set(sys.modules)))\n"
+    )
+    assert fresh_interpreter(code) == "[]"
+
+
+def fresh_interpreter(code: str) -> str:
+    """Stripped stdout of `code` run in a new interpreter on the sources."""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -320,7 +342,7 @@ def test_path_never_imports_numpy_random(argv, tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
 def test_package_never_names_numpy_random():
