@@ -98,7 +98,7 @@ class Flag:
 
 
 _GREEDY = {"membership", "pair", "chain"}
-_POOLED = {"membership", "pair"}
+_TRIALS = _GREEDY | {"bipartite"}  # estimators with a trial count
 _HOSTS = _every("run", "typical", "cover") | _GREEDY | {"uniform"}  # load a host
 _SIZED = _HOSTS | {"gen", "bounds"}  # read --n and --p
 _PARAMS = _SIZED - {"gen", "uniform"}  # build a ParamSet
@@ -121,7 +121,7 @@ FLAGS = {
     ),
     "seed": Flag(_every(*PATHS) - {"bounds"}, type=int, default=0, echo=0),
     "trials": Flag(
-        _every("run") | _GREEDY | {"bipartite"},
+        _every("run") | _TRIALS,
         floor=1,
         type=int,
         default={"run": 1, "estimate": 10_000},
@@ -133,7 +133,7 @@ FLAGS = {
         default=0,
         help="track increments for vertices 0..TRACKED-1",
     ),
-    "threads": Flag({"ensemble"} | _POOLED, floor=1, type=int, default=1, echo=1),
+    "threads": Flag({"ensemble"} | _TRIALS, floor=1, type=int, default=1, echo=1),
     "budget": Flag({"typical"}, floor=1, type=int, default=20),
     "max_size": Flag({"typical"}, floor=1, type=int),
     "strict_factor": Flag({"typical"}, type=float, default=1.0),
@@ -160,7 +160,7 @@ FLAGS = {
         action="store_true",
         help="embed full set memberships in the report",
     ),
-    "pair_sample": Flag(_POOLED, floor=0, type=int, default=200),
+    "pair_sample": Flag({"membership", "pair"}, floor=0, type=int, default=200),
     "i": Flag({"chain"}, {"chain"}, floor=1, type=int, help="first special step"),
     "j": Flag({"chain"}, {"chain"}, floor=1, type=int, help="second special step"),
     "u": Flag({"chain"}, {"chain"}, floor=0, type=int, help="vertex chosen at step i"),
@@ -469,7 +469,9 @@ def _execute_cover(cfg: RunConfig) -> tuple:
 
 def _execute_estimate(cfg: RunConfig) -> tuple:
     if cfg.what == "bipartite":
-        rep = bipartite_comparison(cfg.a, cfg.b, cfg.k, cfg.trials, cfg.seed)
+        rep = bipartite_comparison(
+            cfg.a, cfg.b, cfg.k, cfg.trials, cfg.seed, threads=cfg.threads
+        )
         note = f"estimate: bipartite ratio_exact={rep.ratio_exact}"
         return {"bipartite": rep.to_dict()}, note, 0
     host = _load_host(cfg)
@@ -482,7 +484,7 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
     ps = _params(cfg, host.n)
     if cfg.what == "chain":
         est = estimate_conditional_chain(
-            host, ps, cfg.i, cfg.j, cfg.u, cfg.v, cfg.trials, cfg.seed
+            host, ps, cfg.i, cfg.j, cfg.u, cfg.v, cfg.trials, cfg.seed, cfg.threads
         )
         note = f"estimate: chain joint_freq={est.joint_freq}"
         return {"chain": est}, note, 0

@@ -113,7 +113,7 @@ def _membership_chunk(
     return vcount, pcount, sizes
 
 
-_MEMBERSHIP_CHUNK = 4096
+_LIGHT_CHUNK = 4096  # light-kernel trials per chunk
 
 
 def estimate_membership(
@@ -138,7 +138,7 @@ def estimate_membership(
     vs = np.array([v for _, v in pairs], dtype=np.intp)
 
     args = (host, ps.k, seed, us, vs)
-    parts = chunked_map(_membership_chunk, args, trials, _MEMBERSHIP_CHUNK, threads)
+    parts = chunked_map(_membership_chunk, args, trials, _LIGHT_CHUNK, threads)
 
     vcount, pcount, sizes = parts[0]
     for vc, pc, sz in parts[1:]:
@@ -255,6 +255,20 @@ def _chain_trial_full(
     return j
 
 
+def _chain_chunk(
+    host: Graph, ps: ParamSet, trial, i: int, j: int, u: int, v: int, seed: int,
+    start: int, stop: int,
+) -> np.ndarray:
+    """survived[t] = trials of the chunk whose chain held through step t >= 1."""
+    survived = np.zeros(j + 1, dtype=np.int64)
+    for row in _rng.trial_rows(seed, _rng.CHAIN, start, stop, j):
+        survived[1 : trial(host, ps, row, i, j, u, v) + 1] += 1
+    return survived
+
+
+_CHAIN_CHUNK = 1024
+
+
 def estimate_conditional_chain(
     host: Graph,
     ps: ParamSet,
@@ -264,6 +278,7 @@ def estimate_conditional_chain(
     v: int,
     trials: int,
     seed: int,
+    threads: int = 1,
 ) -> ConditionalEstimate:
     """Estimate the step-survival chain of the pair (u, v) at steps (i, j).
 
@@ -275,6 +290,8 @@ def estimate_conditional_chain(
     `step`) through at most j steps and stops at the first one that
     exhausts the process, leaves the envelope or breaks the chain.  Either
     way trial t reads only the first j draws of stream (seed, CHAIN, t).
+    Per-chunk counts are summed, so results are identical for any thread
+    count.
     """
     check_host_n(ps, host)
     if not 1 <= i < j <= ps.k:
@@ -288,10 +305,9 @@ def estimate_conditional_chain(
 
     light = _envelope_vacuous_through(host, ps, j)
     trial = _chain_trial_light if light else _chain_trial_full
-    survived = np.zeros(j + 1, dtype=np.int64)
+    args = (host, ps, trial, i, j, u, v, seed)
+    survived = sum(chunked_map(_chain_chunk, args, trials, _CHAIN_CHUNK, threads))
     survived[0] = trials
-    for row in _rng.trial_rows(seed, _rng.CHAIN, 0, trials, j):
-        survived[1 : trial(host, ps, row, i, j, u, v) + 1] += 1
 
     counts = survived.tolist()
     freq_chain: list[float | None] = []
@@ -469,8 +485,17 @@ class BipartiteComparison:
         }
 
 
+def _bipartite_chunk(host: Graph, k: int, seed: int, start: int, stop: int) -> int:
+    hits = 0
+    for row in _rng.trial_rows(seed, _rng.BIPARTITE, start, stop, k):
+        mask = sample_independent_set(host, k, row)
+        if mask & 3 == 3:  # vertices 0 and 1, both in the size-a class
+            hits += 1
+    return hits
+
+
 def bipartite_comparison(
-    a: int, b: int, k: int, trials: int, seed: int
+    a: int, b: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> BipartiteComparison:
     """Probability that two fixed same-class vertices land in the output.
 
@@ -478,6 +503,8 @@ def bipartite_comparison(
     k-sets (each class contributes its k-subsets).  Greedy: the process
     commits to the first vertex's class and is then uniform inside it, so
     Pr = (a/(a+b)) * k(k-1)/(a(a-1)) for a pair in the size-a class.
+    Per-chunk hit counts are summed, so the estimate is identical for any
+    thread count.
     """
     if not (a >= k >= 2):
         raise ValueError("need a >= k >= 2")
@@ -490,11 +517,8 @@ def bipartite_comparison(
     greedy = Fraction(a, a + b) * Fraction(k * (k - 1), a * (a - 1))
 
     host = complete_bipartite(a, b)
-    hits = 0
-    for row in _rng.trial_rows(seed, _rng.BIPARTITE, 0, trials, k):
-        mask = sample_independent_set(host, k, row)
-        if mask & 3 == 3:  # vertices 0 and 1, both in the size-a class
-            hits += 1
+    args = (host, k, seed)
+    hits = sum(chunked_map(_bipartite_chunk, args, trials, _LIGHT_CHUNK, threads))
     est = hits / trials
     p = float(greedy)
     sigma = math.sqrt(p * (1 - p) / trials)

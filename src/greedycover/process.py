@@ -19,12 +19,16 @@ rho_v = min(tau, sigma_v - 1), from that record with array operations;
 (host, params, seed): trial t consumes the first k uniforms of the Philox
 stream keyed (seed, RUN domain, t) and nothing else; ensemble chunks read
 them as rows of `rng.trial_rows`.  `chunked_map` is the one place
-that honours a thread count: fixed trial chunks, results in chunk order.
+that honours a thread count: fixed trial chunks, results in chunk order,
+run by workers it forks itself (pipes and pickle, no pool module) or, on a
+platform without fork, in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -459,41 +463,122 @@ class EnsembleSummary:
     dx_count: int
 
 
-# A pool worker's (fn, args), set once by the pool initializer.
-_shared: tuple = ()
-
-
-def _share(fn, args: tuple) -> None:
-    global _shared
-    _shared = (fn, args)
-
-
-def _shared_chunk(start: int, stop: int):
-    fn, args = _shared
-    return fn(*args, start, stop)
-
-
 def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     """[fn(*args, start, stop)] over fixed chunks of range(trials), in chunk order.
 
     The chunks depend only on `trials` and `chunk`, so a reduction over the
-    results in list order gives the same bytes at any `threads`; with more
-    than one thread and more than one chunk they run in a process pool.
-    Each worker receives (fn, args) once, through the pool initializer (not
-    pickled at all under fork), and keeps them, with the host's packed-row
-    and degree caches, across its chunks; a chunk sends only its bounds.
+    results in list order gives the same bytes at any `threads`.  With more
+    than one thread and more than one chunk, min(threads, chunks) forked
+    workers run them: worker w runs chunks w, w + workers, ... and sends
+    back one pickled list.  The workers inherit (fn, args) by fork, so the
+    host is never pickled.  Where os.fork does not exist the chunks run
+    in-process.
     """
     bounds = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    if threads > 1 and len(bounds) > 1:
-        from concurrent import futures
-
-        # the pool forks all its workers at the first submit, so ask for no
-        # more workers than there are chunks
-        with futures.ProcessPoolExecutor(
-            min(threads, len(bounds)), initializer=_share, initargs=(fn, args)
-        ) as pool:
-            return list(pool.map(_shared_chunk, *zip(*bounds)))
+    workers = min(threads, len(bounds))
+    if workers > 1 and hasattr(os, "fork"):
+        return _forked_map(fn, args, bounds, workers)
     return [fn(*args, start, stop) for start, stop in bounds]
+
+
+def _forked_map(fn, args: tuple, bounds: list, workers: int) -> list:
+    """chunked_map's pooled branch: one pipe and one forked child per worker.
+
+    A worker's exception is raised here: that of the lowest failing chunk,
+    as the in-process loop would raise it.  A worker that ends without a
+    result raises RuntimeError.  On any exception here, KeyboardInterrupt
+    included, every child still running is killed; every child is reaped.
+    """
+    import signal  # only pooled runs need it
+
+    pids: list[int] = []
+    pipes = []  # read ends, closed on the way out
+    status: dict[int, int] = {}
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, args, bounds, w, workers, pipes, wr)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        replies = [pipe.read() for pipe in pipes]
+        for pid in pids:
+            status[pid] = os.waitpid(pid, 0)[1]
+    except BaseException:
+        for pid in pids:
+            if pid not in status:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+
+    results: list = [None] * len(bounds)
+    errors = []
+    for w, (pid, data) in enumerate(zip(pids, replies)):
+        code = os.waitstatus_to_exitcode(status[pid])
+        if code or not data:
+            how = (
+                f"was killed by {signal.Signals(-code).name}"
+                if code < 0
+                else f"exited with status {code}"
+            )
+            raise RuntimeError(f"pool worker {w} (pid {pid}) {how} without a result")
+        failed, value = pickle.loads(data)
+        if failed is None:
+            results[w::workers] = value
+        else:
+            errors.append((failed, value))
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
+
+
+def _work(fn, args, bounds, w, workers, pipes, wr) -> None:
+    """A forked worker: run chunks w, w + workers, ..., write one reply to
+    `wr` and end with os._exit, never returning into the parent's code.
+
+    The reply is (None, results) or (index of the failing chunk, exception).
+    """
+    code = 1
+    try:
+        for pipe in pipes:  # every read end: the parent's business
+            pipe.close()
+        done = []
+        try:
+            for start, stop in bounds[w::workers]:
+                done.append(fn(*args, start, stop))
+            data = pickle.dumps((None, done), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            data = _error_reply(w + workers * len(done), exc)
+        with open(wr, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _error_reply(chunk: int, exc: BaseException) -> bytes:
+    """The pickled (chunk, exc); an exception that does not survive a pickle
+    round trip is replaced by a RuntimeError carrying its traceback text."""
+    try:
+        data = pickle.dumps((chunk, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        import traceback
+
+        text = "".join(traceback.format_exception(exc))
+        err = RuntimeError(f"pool worker raised an unpicklable exception:\n{text}")
+        return pickle.dumps((chunk, err), pickle.HIGHEST_PROTOCOL)
 
 
 _CHUNK = 32

@@ -107,8 +107,8 @@ class TestParse:
             # flags that the chosen path never reads
             ["run", "--n", "50", "--p", "0.2", "--tracked", "3"],
             ["run", "--n", "60", "--p", "0.2", "--threads", "2"],
-            BIPARTITE + ["--threads", "2"],
-            CHAIN + ["--threads", "2"],
+            ["cover", "--n", "50", "--p", "0.1", "--threads", "2"],
+            ["typical", "--n", "50", "--p", "0.2", "--threads", "2"],
             UNIFORM + ["--threads", "2"],
             BIPARTITE + ["--p", "0.3"],
             BIPARTITE + ["--k-coef", "0.7"],
@@ -155,6 +155,10 @@ class TestParse:
     @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN, UNIFORM, MEMBERSHIP])
     def test_path_flags_at_defaults_are_accepted(self, argv):
         assert parse_args(argv).subcommand == "estimate"
+
+    @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN], ids=["bipartite", "chain"])
+    def test_threads_accepted_by_every_trial_estimator(self, argv):
+        assert parse_args(argv + ["--threads", "2"]).threads == 2
 
 
 # One small invocation per path, and a value for every flag that a path

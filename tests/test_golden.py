@@ -7,7 +7,9 @@ with the digest recorded when the case was added.  Between them the cases
 reach every subcommand, both adaptive and both fixed cover modes, the
 membership, chain (light and full path), bipartite and uniform
 estimators, tracked and untracked ensembles, the pooled paths at
---threads 1 and 2, and both CSV tables.  Two cases on the dense HOST_FILE
+--threads 1 and 2, and both CSV tables.  The chain and bipartite
+estimators are also checked to print the same payload at --threads 1, 2
+and 3, apart from the echoed thread count.  Two cases on the dense HOST_FILE
 reach record shapes the others leave empty: a host check with P1, P2 and
 P3 violations, and an ensemble in which no run reaches step 2 with two
 active vertices left, so its per-step ratios are null from step 2 on.
@@ -108,13 +110,18 @@ def write_host(directory) -> None:
         os.chdir(cwd)
 
 
-def payload_digest(argv: list[str]) -> str:
-    """SHA-256 of the stdout of one in-process CLI call that must succeed."""
+def payload(argv: list[str]) -> str:
+    """The stdout of one in-process CLI call that must succeed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code == 0, f"{argv} exited with {code}"
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def payload_digest(argv: list[str]) -> str:
+    """SHA-256 of `payload(argv)`."""
+    return hashlib.sha256(payload(argv).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +140,32 @@ def test_cases_match_digest_table():
 def test_golden_digest(name, host_dir, monkeypatch):
     monkeypatch.chdir(host_dir)
     assert payload_digest(CASES[name]) == DIGESTS[name]
+
+
+# The estimators that read --threads besides membership and ensembles, each
+# with trials for three chunks (1024 chain trials, 4096 bipartite trials
+# each), so that --threads 2 and 3 fork workers.
+POOLED = {
+    "chain-light": CASES["chain-light"],
+    "chain-full": ["estimate", "--what", "chain", "--input", HOST_FILE, "--p", "0.05",
+                   "--seed", "5", "--i", "1", "--j", "2", "--u", "0", "--v", "5",
+                   "--trials", "2500"],
+    "bipartite": ["estimate", "--what", "bipartite", "--a", "6", "--b", "9", "--k", "3",
+                  "--trials", "9000", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_pooled_estimators_ignore_threads(name, host_dir, monkeypatch):
+    monkeypatch.chdir(host_dir)
+    one = payload(POOLED[name] + ["--threads", "1"])
+    if name.startswith("chain"):
+        assert f'"path": "{name.removeprefix("chain-")}"' in one
+    for threads in ("2", "3"):
+        out = payload(POOLED[name] + ["--threads", threads])
+        echo = f'"threads": {threads},'
+        assert out.count(echo) == 1
+        assert out.replace(echo, '"threads": 1,') == one
 
 
 if __name__ == "__main__":

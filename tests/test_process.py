@@ -7,13 +7,16 @@ step, and checks the engine's incremental bookkeeping against it.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from greedycover import process, rng
+from greedycover import rng
 from greedycover.cli import plain
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
 from greedycover.params import ParamSet, error_f, expected_degree
@@ -475,45 +478,139 @@ class _Counted:
 
 
 def _span_of(arg, start, stop):
-    return type(arg).__name__, start, stop
+    # the worker's own count: a pickle of the arguments on the way in
+    return type(arg).__name__, _Counted.reductions, start, stop
+
+
+def _fails_from_32(start, stop):
+    if start >= 32:
+        raise ValueError(f"chunk at {start} failed")
+    return start
+
+
+def _killed_at_32(start, stop):
+    if start == 32:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return start
+
+
+def _sleeps(start, stop):
+    time.sleep(60)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):  # pickle rebuilds it with one argument
+        super().__init__(f"{a} {b}")
+
+
+def _raises_unpicklable(start, stop):
+    raise _Unpicklable("lost", start)
+
+
+def _megabytes(start, stop):
+    # more than a pipe buffer (64 KiB) from every worker
+    return bytes(range(start % 256, 256)) * 5000
+
+
+def _pid_span(start, stop):
+    return os.getpid(), start, stop
+
+
+@contextlib.contextmanager
+def _alarm(seconds, exc):
+    """Raise `exc` in the test if the block is still running after `seconds`."""
+
+    def ring(signum, frame):
+        raise exc(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids chunked_map forks; at teardown each is reaped and no file
+    descriptor is left open."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 class TestChunkedMap:
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        asked = []
-
-        class InProcessPool:
-            """Stands in for ProcessPoolExecutor and starts no process."""
-
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                asked.append(max_workers)
-                if initializer is not None:
-                    initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(process, "_shared", ())
+    def test_pool_has_no_more_workers_than_chunks(self, forks):
         two = [(0, 32), (32, 40)]
         four = [(0, 32), (32, 64), (64, 96), (96, 100)]
         assert chunked_map(_span, (), trials=40, chunk=32, threads=64) == two
+        assert len(forks) == 2
         assert chunked_map(_span, (), trials=100, chunk=32, threads=3) == four
+        assert len(forks) == 5
         assert chunked_map(_span, (), trials=100, chunk=32, threads=1) == four
-        assert asked == [2, 3]
+        assert chunked_map(_span, (), trials=30, chunk=32, threads=4) == [(0, 30)]
+        assert len(forks) == 5
 
-    def test_shared_args_pickled_at_most_once_per_worker(self, monkeypatch):
+    def test_shared_args_never_pickled(self, forks, monkeypatch):
         monkeypatch.setattr(_Counted, "reductions", 0)
         args = (_Counted(),)
         pooled = chunked_map(_span_of, args, trials=256, chunk=32, threads=2)
-        assert _Counted.reductions <= 2
+        assert _Counted.reductions == 0
         assert pooled == chunked_map(_span_of, args, trials=256, chunk=32, threads=1)
+        assert len(forks) == 2
+
+    def test_worker_error_reraised_with_its_type_and_message(self, forks):
+        # chunks 32 (worker 1) and 64 (worker 0) both fail; the in-process
+        # loop would stop at 32
+        with pytest.raises(ValueError, match="^chunk at 32 failed$"):
+            chunked_map(_fails_from_32, (), trials=100, chunk=32, threads=2)
+        assert len(forks) == 2
+
+    def test_unpicklable_error_arrives_as_runtime_error(self, forks):
+        with pytest.raises(RuntimeError, match="_Unpicklable: lost 0"):
+            chunked_map(_raises_unpicklable, (), trials=64, chunk=32, threads=2)
+
+    def test_killed_worker_names_the_signal(self, forks):
+        with _alarm(60, TimeoutError):
+            with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+                chunked_map(_killed_at_32, (), trials=100, chunk=32, threads=2)
+        assert len(forks) == 2
+
+    def test_interrupt_kills_and_reaps_every_worker(self, forks):
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt), _alarm(0.5, KeyboardInterrupt):
+            chunked_map(_sleeps, (), trials=64, chunk=32, threads=2)
+        assert time.monotonic() - t0 < 30  # the workers sleep for 60 s
+        assert len(forks) == 2
+
+    def test_results_larger_than_a_pipe_buffer(self, forks):
+        with _alarm(60, TimeoutError):  # a worker blocks on a pipe not drained
+            pooled = chunked_map(_megabytes, (), trials=6, chunk=1, threads=3)
+        assert min(len(r) for r in pooled) >= 1 << 20
+        assert pooled == chunked_map(_megabytes, (), trials=6, chunk=1, threads=1)
+
+    def test_runs_in_process_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        here = os.getpid()
+        pooled = chunked_map(_pid_span, (), trials=100, chunk=32, threads=3)
+        assert pooled == chunked_map(_pid_span, (), trials=100, chunk=32, threads=1)
+        assert {pid for pid, _, _ in pooled} == {here}
 
 
 class TestStateSurface:

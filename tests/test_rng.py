@@ -333,6 +333,23 @@ def test_single_process_paths_never_import_the_pool():
     assert fresh_interpreter(code) == "[]"
 
 
+def test_pooled_paths_never_import_the_pool():
+    # chunked_map forks its workers itself; importing concurrent.futures and
+    # multiprocessing would add about 1 MB to the parent's peak RSS
+    argv = ["run", "--n", "60", "--p", "0.2", "--trials", "70", "--threads", "2"]
+    code = (
+        "import contextlib, io, os, sys\n"
+        "import greedycover.cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert greedycover.cli.main({argv!r}) == 0\n"
+        "pool = {'concurrent.futures', 'multiprocessing'}\n"
+        "print(len(forks), sorted(pool & set(sys.modules)))\n"
+    )
+    assert fresh_interpreter(code) == "2 []"
+
+
 def fresh_interpreter(code: str) -> str:
     """Stripped stdout of `code` run in a new interpreter on the sources."""
     out = subprocess.run(
