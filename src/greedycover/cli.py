@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import field, fields, is_dataclass, make_dataclass
+from fractions import Fraction
 
 from . import __version__
 from .cover import (
@@ -309,13 +310,16 @@ def _params(cfg: RunConfig, n: int) -> ParamSet:
 def plain(value):
     """The JSON-ready form of a payload value.
 
-    A VertexSet becomes its sorted members, a dataclass the dict of the
-    fields it shows in its repr, a named tuple the dict of its fields;
-    lists, tuples and dicts are converted item by item.  A record's payload
-    is thus exactly its shown fields.
+    A VertexSet becomes its sorted members, a Fraction its exact text
+    ("7/2", "1"), a dataclass the dict of the fields it shows in its repr, a
+    named tuple the dict of its fields; lists, tuples and dicts are
+    converted item by item.  A record's payload is thus exactly its shown
+    fields.
     """
     if isinstance(value, VertexSet):
         return value.to_list()
+    if isinstance(value, Fraction):
+        return str(value)
     if is_dataclass(value):
         return {f.name: plain(getattr(value, f.name)) for f in fields(value) if f.repr}
     if hasattr(value, "_asdict"):
@@ -473,7 +477,7 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
             cfg.a, cfg.b, cfg.k, cfg.trials, cfg.seed, threads=cfg.threads
         )
         note = f"estimate: bipartite ratio_exact={rep.ratio_exact}"
-        return {"bipartite": rep.to_dict()}, note, 0
+        return {"bipartite": rep}, note, 0
     host = _load_host(cfg)
     if cfg.what == "uniform":
         vs = uniform_independent_set(
@@ -499,7 +503,7 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
     note = f"estimate: {cfg.what} trials={cfg.trials}"
     if cfg.format == "csv":
         return _membership_csv(rep), note, 0
-    return {"membership": rep.to_dict()}, note, 0
+    return {"membership": rep}, note, 0
 
 
 def _execute_bounds(cfg: RunConfig) -> tuple:

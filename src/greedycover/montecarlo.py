@@ -15,8 +15,9 @@ thread count cannot affect results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,16 @@ def sample_non_edges(host: Graph, count: int, seed: int) -> list[tuple[int, int]
     return sorted(picked)
 
 
+class PairFreq(NamedTuple):
+    """One sampled non-edge (u < v): its count, frequency and 3-sigma radius."""
+
+    u: int
+    v: int
+    count: int
+    freq: float
+    ci_radius: float
+
+
 @dataclass
 class EstimateReport:
     """Membership frequencies against the k/n and (k/n)^2 targets.
@@ -65,29 +76,9 @@ class EstimateReport:
     predicted_pair: float
     per_vertex_count: list[int]
     per_vertex_freq: list[float]
-    pairs: list[tuple[int, int]]
-    pair_count: list[int]
-    pair_freq: list[float]
+    pair_freq: list[PairFreq]
     ci_vertex: list[float]
-    ci_pair: list[float]
     sum_sizes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "predicted_vertex": self.predicted_vertex,
-            "predicted_pair": self.predicted_pair,
-            "per_vertex_count": self.per_vertex_count,
-            "per_vertex_freq": self.per_vertex_freq,
-            "pair_freq": [
-                {"u": u, "v": v, "count": c, "freq": f, "ci_radius": r}
-                for (u, v), c, f, r in zip(
-                    self.pairs, self.pair_count, self.pair_freq, self.ci_pair
-                )
-            ],
-            "ci_vertex": self.ci_vertex,
-            "sum_sizes": self.sum_sizes,
-        }
 
 
 def _membership_chunk(
@@ -148,17 +139,18 @@ def estimate_membership(
 
     vfreq = vcount / trials
     pfreq = pcount / trials
+    pci = (3 * np.sqrt(pfreq * (1 - pfreq) / trials)).tolist()
     return EstimateReport(
         trials=trials,
         predicted_vertex=ps.k / ps.n,
         predicted_pair=(ps.k / ps.n) ** 2,
         per_vertex_count=vcount.tolist(),
         per_vertex_freq=vfreq.tolist(),
-        pairs=pairs,
-        pair_count=pcount.tolist(),
-        pair_freq=pfreq.tolist(),
+        pair_freq=[
+            PairFreq(u, v, c, f, r)
+            for (u, v), c, f, r in zip(pairs, pcount.tolist(), pfreq.tolist(), pci)
+        ],
         ci_vertex=(3 * np.sqrt(vfreq * (1 - vfreq) / trials)).tolist(),
-        ci_pair=(3 * np.sqrt(pfreq * (1 - pfreq) / trials)).tolist(),
         sum_sizes=sizes,
     )
 
@@ -452,8 +444,9 @@ def uniform_independent_set(
 class BipartiteComparison:
     """Uniform vs greedy pair probabilities on a two-class host.
 
-    The pair lives in the size-a class.  Exact values are Fractions; the
-    Monte Carlo column estimates the greedy value independently.
+    The pair lives in the size-a class.  Exact values are Fractions, each
+    with its float alongside; the Monte Carlo column estimates the greedy
+    value independently.
     """
 
     a: int
@@ -466,23 +459,14 @@ class BipartiteComparison:
     greedy_estimate: float
     estimate_sigma: float
     ratio_estimate: float
+    uniform_exact_float: float = field(init=False)
+    greedy_exact_float: float = field(init=False)
+    ratio_exact_float: float = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-            "trials": self.trials,
-            "uniform_exact": str(self.uniform_exact),
-            "uniform_exact_float": float(self.uniform_exact),
-            "greedy_exact": str(self.greedy_exact),
-            "greedy_exact_float": float(self.greedy_exact),
-            "ratio_exact": str(self.ratio_exact),
-            "ratio_exact_float": float(self.ratio_exact),
-            "greedy_estimate": self.greedy_estimate,
-            "estimate_sigma": self.estimate_sigma,
-            "ratio_estimate": self.ratio_estimate,
-        }
+    def __post_init__(self) -> None:
+        self.uniform_exact_float = float(self.uniform_exact)
+        self.greedy_exact_float = float(self.greedy_exact)
+        self.ratio_exact_float = float(self.ratio_exact)
 
 
 def _bipartite_chunk(host: Graph, k: int, seed: int, start: int, stop: int) -> int:

@@ -249,10 +249,9 @@ def test_criterion_06b_membership_uniformity(membership_500):
 
 def test_criterion_07a_pair_ci_reported(membership_500):
     _, rep, _ = membership_500
-    assert len(rep.pairs) == 200
-    assert len(rep.ci_pair) == 200
-    assert all(r >= 0.0 for r in rep.ci_pair)
-    assert all(f >= 0.0 for f in rep.pair_freq)
+    assert len(rep.pair_freq) == 200
+    assert all(p.ci_radius >= 0.0 for p in rep.pair_freq)
+    assert all(p.freq >= 0.0 for p in rep.pair_freq)
     print("criterion 7a: PASS - 200 sampled non-edges with per-cell CI radii")
 
 
@@ -266,7 +265,7 @@ def test_criterion_07b_pair_coverage(membership_500):
     ps, rep, _ = membership_500
     target = (ps.k / ps.n) ** 2
     within = sum(
-        1 for f in rep.pair_freq if abs(f - target) <= 0.15 * target
+        1 for p in rep.pair_freq if abs(p.freq - target) <= 0.15 * target
     )
     frac = within / len(rep.pair_freq)
     print(f"criterion 7b: pairs within 15% of (k/n)^2: {frac:.3f} (need 0.95)")

@@ -13,9 +13,11 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+import greedycover
 from greedycover.cli import FLAGS, PATHS, execute, main, parse_args, plain
 from greedycover.cover import PartitionCover, build_theta1_adaptive, verify_cover
 from greedycover.graph import (
@@ -26,7 +28,7 @@ from greedycover.graph import (
     is_independent,
     to_edge_list,
 )
-from greedycover.montecarlo import estimate_membership
+from greedycover.montecarlo import bipartite_comparison, estimate_membership
 from greedycover.params import ParamSet, bound_formulas
 from greedycover.process import ensemble_run, run
 from greedycover.typicality import is_typical
@@ -322,6 +324,16 @@ class TestPlain:
             "singleton_count": 2,
         }
 
+    def test_fractions_become_exact_text(self):
+        assert plain(Fraction(7, 2)) == "7/2"
+        assert plain(Fraction(1)) == "1"  # ratio_exact on an a = b host
+
+    def test_no_exported_class_keeps_a_to_dict(self):
+        exported = [getattr(greedycover, name) for name in greedycover.__all__]
+        classes = [obj for obj in exported if isinstance(obj, type)]
+        assert len(classes) > 15
+        assert [c.__name__ for c in classes if hasattr(c, "to_dict")] == []
+
 
 class TestGen:
     def test_stdout_matches_library(self, capsys):
@@ -453,7 +465,10 @@ class TestEstimate:
         rep = estimate_membership(
             host, ParamSet(50, 0.2), trials=500, seed=6, pair_sample=10
         )
-        assert doc["membership"] == json.loads(json.dumps(rep.to_dict()))
+        assert doc["membership"] == json.loads(json.dumps(plain(rep)))
+        assert [set(p) for p in doc["membership"]["pair_freq"]] == 10 * [
+            {"u", "v", "count", "freq", "ci_radius"}
+        ]
 
     def test_membership_csv_table(self, capsys):
         assert main(
@@ -487,6 +502,8 @@ class TestEstimate:
              "--trials", "500", "--seed", "1"],
         )
         assert code == 0
+        rep = bipartite_comparison(10, 20, 3, trials=500, seed=1)
+        assert doc["bipartite"] == json.loads(json.dumps(plain(rep)))
         assert doc["bipartite"]["uniform_exact"] == "2/315"
         assert doc["bipartite"]["greedy_exact"] == "1/45"
         assert doc["bipartite"]["ratio_exact_float"] == 3.5

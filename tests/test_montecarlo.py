@@ -14,8 +14,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from exact_greedy import inclusion_law
 from greedycover import montecarlo as mc
 from greedycover import rng
 from greedycover.cli import plain
@@ -96,10 +98,10 @@ class TestMembership:
         assert sum(rep.per_vertex_count) == rep.sum_sizes
         sig_v = math.sqrt(0.15 * 0.85 / rep.trials)
         assert max(abs(f - 0.15) for f in rep.per_vertex_freq) < 5 * sig_v
-        assert len(rep.pairs) == 190
+        assert len(rep.pair_freq) == 190
         p_pair = 3 * 2 / (20 * 19)
         sig_p = math.sqrt(p_pair * (1 - p_pair) / rep.trials)
-        assert max(abs(f - p_pair) for f in rep.pair_freq) < 5 * sig_p
+        assert max(abs(p.freq - p_pair) for p in rep.pair_freq) < 5 * sig_p
         assert rep.predicted_vertex == pytest.approx(3 / 20)
         assert rep.predicted_pair == pytest.approx((3 / 20) ** 2)
 
@@ -109,7 +111,6 @@ class TestMembership:
         rep = estimate_membership(host, ps, trials=3_000, seed=0)
         assert rep.sum_sizes == rep.trials
         assert sum(rep.per_vertex_count) == rep.trials
-        assert rep.pairs == []
         assert rep.pair_freq == []
 
     def test_count_identity_and_pair_caps(self):
@@ -117,8 +118,10 @@ class TestMembership:
         ps = ParamSet(200, 0.1)
         rep = estimate_membership(host, ps, trials=1_500, seed=7, pair_sample=50)
         assert sum(rep.per_vertex_count) == rep.sum_sizes
-        for (u, v), c in zip(rep.pairs, rep.pair_count):
+        for u, v, c, f, r in rep.pair_freq:
             assert c <= min(rep.per_vertex_count[u], rep.per_vertex_count[v])
+            assert f == c / rep.trials
+            assert r == 3 * math.sqrt(f * (1 - f) / rep.trials)
         for f, c in zip(rep.per_vertex_freq, rep.per_vertex_count):
             assert f == c / rep.trials
 
@@ -127,7 +130,7 @@ class TestMembership:
         ps = ParamSet(120, 0.1)
         a = estimate_membership(host, ps, trials=4_097, seed=5, threads=1)
         b = estimate_membership(host, ps, trials=4_097, seed=5, threads=2)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_validation(self):
         host = empty_graph(20)
@@ -135,6 +138,36 @@ class TestMembership:
             estimate_membership(host, ParamSet(20, 0.1), trials=0, seed=0)
         with pytest.raises(ValueError, match="n=30"):
             estimate_membership(host, ParamSet(30, 0.1), trials=10, seed=0)
+
+
+class TestExactInclusionLaw:
+    """`estimate_membership` against the exact law of `exact_greedy`."""
+
+    def test_oracle_closed_forms(self):
+        vertex, pair = inclusion_law(empty_graph(20), 3)
+        assert vertex == pytest.approx(np.full(20, 3 / 20))
+        off = ~np.eye(20, dtype=bool)
+        assert pair[off] == pytest.approx(np.full(380, 6 / 380))
+        assert not pair.diagonal().any()
+        vertex, pair = inclusion_law(complete_bipartite(10, 20), 3)
+        assert pair[0, 1] == pytest.approx(1 / 45)  # greedy_exact of K_10,20
+        assert pair[0, 10] == 0.0  # an edge
+        assert vertex.sum() == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n, p, seed, k", [(16, 0.3, 3, 5), (18, 0.25, 4, 6)])
+    def test_membership_within_five_sigma(self, n, p, seed, k):
+        host = gnp_sample(n, p, seed)
+        ps = ParamSet(n, p, k_coef=1.0)
+        assert ps.k == k
+        vertex, pair = inclusion_law(host, k)
+        rep = estimate_membership(host, ps, trials=20_000, seed=7)
+        assert [(q.u, q.v) for q in rep.pair_freq] == list(non_edges(host))
+        cells = [(f, vertex[v]) for v, f in enumerate(rep.per_vertex_freq)]
+        cells += [(q.freq, pair[q.u, q.v]) for q in rep.pair_freq]
+        for freq, exact in cells:
+            assert 0.0 < exact < 1.0
+            sigma = math.sqrt(exact * (1 - exact) / rep.trials)
+            assert abs(freq - exact) <= 5 * sigma, (freq, exact)
 
 
 class TestConditionalChain:
@@ -446,7 +479,7 @@ class TestBipartiteComparison:
 
     def test_serialization(self):
         rep = bipartite_comparison(10, 20, 3, trials=200, seed=1)
-        d = rep.to_dict()
+        d = plain(rep)
         assert d["uniform_exact"] == "2/315"
         assert d["ratio_exact_float"] == pytest.approx(3.5)
         assert d["trials"] == 200
