@@ -449,8 +449,7 @@ def _execute_cover(cfg: RunConfig) -> tuple:
             host, ps, seed=cfg.seed, max_t=cfg.max_t
         )
     elif cfg.mode == "pdim":
-        s = cfg.s if cfg.s is not None else bound_formulas(ps)["s_pdim"]
-        cover = build_pdim_cover(host, ps, s=s, t=cfg.t, seed=cfg.seed)
+        cover = build_pdim_cover(host, ps, t=cfg.t, seed=cfg.seed, s=cfg.s)
     else:
         cover, adaptive_count = build_pdim_adaptive(
             host, ps, seed=cfg.seed, s=cfg.s, max_t=cfg.max_t

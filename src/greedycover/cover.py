@@ -154,9 +154,11 @@ def _partition(host: Graph, k: int, rows: Iterable[np.ndarray]) -> list[VertexSe
 
 
 def build_pdim_cover(
-    host: Graph, ps: ParamSet, s: int, t: int, seed: int
+    host: Graph, ps: ParamSet, t: int, seed: int, s: int | None = None
 ) -> PartitionCover:
-    """t partitions of s disjoined runs each; empty cells dropped."""
+    """t partitions of s disjoined runs (s_pdim by default); empty cells dropped."""
+    if s is None:
+        s = bound_formulas(ps)["s_pdim"]
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
     check_host_n(ps, host)

@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, complete_bipartite, is_independent
+from .graph import Graph, VertexSet, bits, complete_bipartite, is_independent
 from .graph import mask_bits, non_edge_count, non_edges
 from .params import ParamSet, check_host_n, envelope, error_f
-from .process import _take, chunked_map, init, sample_independent_set, step
+from .process import _take, chunked_map, sample_independent_set
 
 PAIR_SAMPLE_DEFAULT = 200
 MIN_CELL_TRIALS = 100
@@ -162,6 +162,7 @@ class ConditionalEstimate:
     counts[t] is the number of trials satisfying the event after step t
     (counts[0] = trials); freq_chain[t-1] is the step-t conditional
     frequency, None where fewer than 100 trials survived conditioning.
+    path is "light" when no envelope rail could bind through step j.
     predictions carry the three-case center value and its error half-width.
     """
 
@@ -177,18 +178,6 @@ class ConditionalEstimate:
     predictions: list[dict]
     joint_freq: float
     predicted_joint: float
-
-
-def _envelope_vacuous_through(host: Graph, ps: ParamSet, steps: int) -> bool:
-    """True when no degree can leave the envelope in steps 1..steps.
-
-    Exact precheck: the lower rail must sit at or below 0 and the upper
-    rail at or above the largest host degree, for every step.  Induced
-    degrees only shrink, so host degrees bound them all.
-    """
-    max_deg = int(host.degree_array().max(initial=0))
-    rails = (envelope(ps, t) for t in range(1, steps + 1))
-    return all(e.lower <= 0 and e.upper >= max_deg for e in rails)
 
 
 def _chain_predictions(ps: ParamSet, i: int, j: int) -> list[dict]:
@@ -217,10 +206,15 @@ def _chain_holds(t: int, w: int, pos: list[int], i: int, j: int, u: int, v: int)
     return w == v
 
 
-def _chain_trial_light(
-    host: Graph, ps: ParamSet, draws: np.ndarray, i: int, j: int, u: int, v: int
+def _chain_trial(
+    host: Graph, rails: list | None, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
-    """Steps survived by the viability chain in one trial (0..j); ps is unread."""
+    """Steps survived by the chain in one trial (0..j).
+
+    rails[t-1] is (the step-t envelope point, the mask of vertices it can
+    cut); with rails given, a step also fails when one of those vertices is
+    active with its induced degree outside [lower, upper].
+    """
     active = host.full_mask
     ids, pos = host.vertex_ids(), host.vertex_ids()
     for t in range(1, j + 1):
@@ -230,31 +224,24 @@ def _chain_trial_light(
         active &= ~removed
         if not _chain_holds(t, w, pos, i, j, u, v):
             return t - 1
-    return j
-
-
-def _chain_trial_full(
-    host: Graph, ps: ParamSet, draws: np.ndarray, i: int, j: int, u: int, v: int
-) -> int:
-    """Steps survived by the chain in one trial that must also keep the envelope."""
-    state = init(host, ps)
-    for t in range(1, j + 1):
-        rec = step(state, draws[t - 1])
-        if rec is None or not rec.in_envelope:
-            return t - 1
-        if not _chain_holds(t, rec.chosen_vertex, state.pos, i, j, u, v):
-            return t - 1
+        if rails is not None:
+            e, watch = rails[t - 1]
+            if not all(
+                e.lower <= (host.row(x) & active).bit_count() <= e.upper
+                for x in bits(watch & active)
+            ):
+                return t - 1
     return j
 
 
 def _chain_chunk(
-    host: Graph, ps: ParamSet, trial, i: int, j: int, u: int, v: int, seed: int,
+    host: Graph, rails: list | None, i: int, j: int, u: int, v: int, seed: int,
     start: int, stop: int,
 ) -> np.ndarray:
     """survived[t] = trials of the chunk whose chain held through step t >= 1."""
     survived = np.zeros(j + 1, dtype=np.int64)
     for row in _rng.trial_rows(seed, _rng.CHAIN, start, stop, j):
-        survived[1 : trial(host, ps, row, i, j, u, v) + 1] += 1
+        survived[1 : _chain_trial(host, rails, row, i, j, u, v) + 1] += 1
     return survived
 
 
@@ -276,14 +263,12 @@ def estimate_conditional_chain(
 
     The chain event after step t: u and v both active for t < i; u chosen
     at step i and v still active through t < j; v chosen at step j; and no
-    envelope violation through t.  When the envelope cannot be violated at
-    all (precheck on the host's degree range), trials skip degree tracking
-    entirely; otherwise each trial steps the recording engine (`init`,
-    `step`) through at most j steps and stops at the first one that
-    exhausts the process, leaves the envelope or breaks the chain.  Either
-    way trial t reads only the first j draws of stream (seed, CHAIN, t).
-    Per-chunk counts are summed, so results are identical for any thread
-    count.
+    envelope violation through t.  Each trial walks at most j greedy steps
+    and stops at the first one that exhausts the process, breaks the chain
+    or leaves the envelope.  `path` is "light" when no rail of steps 1..j
+    can bind on this host, so trials skip the degree check.  Trial t reads
+    only the first j draws of stream (seed, CHAIN, t).  Per-chunk counts
+    are summed, so results are identical for any thread count.
     """
     check_host_n(ps, host)
     if not 1 <= i < j <= ps.k:
@@ -295,9 +280,17 @@ def estimate_conditional_chain(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    light = _envelope_vacuous_through(host, ps, j)
-    trial = _chain_trial_light if light else _chain_trial_full
-    args = (host, ps, trial, i, j, u, v, seed)
+    # an induced degree lies in [0, host degree], so a rail can cut only the
+    # vertices above it in the host, or all of them once lower > 0; when it
+    # can cut none at any step, the walk skips the check ("light")
+    degrees = host.degrees()
+    rails = []
+    for t in range(1, j + 1):
+        e = envelope(ps, t)
+        cut = (x for x, d in enumerate(degrees) if e.lower > 0 or d > e.upper)
+        rails.append((e, sum(1 << x for x in cut)))
+    light = not any(watch for _, watch in rails)
+    args = (host, None if light else rails, i, j, u, v, seed)
     survived = sum(chunked_map(_chain_chunk, args, trials, _CHAIN_CHUNK, threads))
     survived[0] = trials
 

@@ -134,6 +134,13 @@ class TestPdim:
         assert len(pc.partitions) == 1 and len(pc.partitions[0]) == 1
         assert is_independent(host, pc.partitions[0][0])
 
+    def test_s_defaults_to_s_pdim(self):
+        host = gnp_sample(60, 0.2, seed=5)
+        ps = ParamSet(60, 0.2)
+        s = bound_formulas(ps)["s_pdim"]
+        default = build_pdim_cover(host, ps, t=2, seed=3)
+        assert plain(default) == plain(build_pdim_cover(host, ps, s=s, t=2, seed=3))
+
     def test_disjointification_matches_oracle(self):
         host = gnp_sample(100, 0.1, seed=8)
         ps = ParamSet(100, 0.1)

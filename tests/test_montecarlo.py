@@ -2,13 +2,14 @@
 
 Statistical assertions use exact reference probabilities (symmetry or
 closed-form combinatorics) with wide sigma guards; identity assertions
-(count conservation, chain products) are exact on integers.  Both chain
-paths are cross-checked trial by trial against fully recorded runs driven
-from the same streams.
+(count conservation, chain products) are exact on integers.  The chain
+walker is cross-checked trial by trial against fully recorded runs driven
+from the same streams, and in distribution against the exact chain law.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -17,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_greedy import inclusion_law
+import exact_greedy
+from exact_greedy import chain_law, inclusion_law
 from greedycover import montecarlo as mc
 from greedycover import rng
 from greedycover.cli import plain
@@ -36,7 +38,7 @@ from greedycover.montecarlo import (
     sample_non_edges,
     uniform_independent_set,
 )
-from greedycover.params import ParamSet
+from greedycover.params import ParamSet, envelope
 from greedycover.process import run_with_generator
 from numpy_oracle import numpy_stream
 
@@ -50,12 +52,22 @@ def complete(n):
     return Graph.from_rows([full ^ (1 << v) for v in range(n)])
 
 
-def two_cliques(half):
-    n = 2 * half
-    mask_a = (1 << half) - 1
-    mask_b = ((1 << n) - 1) ^ mask_a
-    rows = [(mask_a if v < half else mask_b) ^ (1 << v) for v in range(n)]
+def disjoint_cliques(*sizes):
+    rows, start = [], 0
+    for size in sizes:
+        mask = ((1 << size) - 1) << start
+        rows += [mask ^ (1 << v) for v in range(start, start + size)]
+        start += size
     return Graph.from_rows(rows)
+
+
+# K20 ∪ K4 ∪ K3 ∪ K2 with u = 20 in the K4 and v = 24 in the K3: at (i, j) =
+# (2, 3) the chain keeps a step-1 pick in the K20 or the K2, picks u at step 2
+# and v at step 3.  Under CLIQUES_FULL the step-1 upper rail (16.33) sits
+# below the K20's degree 19, so it cuts the trials that pick in the K2.
+CLIQUES = (20, 4, 3, 2)
+CLIQUES_LIGHT = ParamSet(29, 0.05, k_coef=1.0)
+CLIQUES_FULL = ParamSet(29, 0.045, k_coef=1.5)
 
 
 class TestSampleNonEdges:
@@ -227,27 +239,32 @@ class TestConditionalChain:
         )
 
     @pytest.mark.parametrize(
-        "make_host,ps,i,j,trials,seed,path",
+        "make_host,ps,i,j,pair,trials,seed,path",
         [
-            (lambda: gnp_sample(100, 0.3, seed=6), ParamSet(100, 0.3), 2, 4, 400, 13,
-             "light"),
+            (lambda: gnp_sample(100, 0.3, seed=6), ParamSet(100, 0.3), 2, 4, None,
+             400, 13, "light"),
             # the full path on a host far denser than its ParamSet: runs
             # exhaust after 1-3 of the k = 6 steps
-            (lambda: gnp_sample(40, 0.9, seed=1), ParamSet(40, 0.05), 1, 2, 1500, 5,
-             "full"),
+            (lambda: gnp_sample(40, 0.9, seed=1), ParamSet(40, 0.05), 1, 2, None,
+             1500, 5, "full"),
             # the full path where every trial leaves the envelope at step 1
-            (lambda: two_cliques(100), ParamSet(200, 0.02), 1, 2, 300, 3, "full"),
+            (lambda: disjoint_cliques(100, 100), ParamSet(200, 0.02), 1, 2, None,
+             300, 3, "full"),
+            # the full path where the step-1 rail cuts some chain-holding
+            # trials (a K2 pick) but not all (a K20 pick)
+            (lambda: disjoint_cliques(*CLIQUES), CLIQUES_FULL, 2, 3, (20, 24),
+             1500, 4, "full"),
         ],
-        ids=["gnp100-light", "gnp40-dense-full", "two-cliques-full"],
+        ids=["gnp100-light", "gnp40-dense-full", "two-cliques-full", "cliques-full"],
     )
     def test_light_walker_matches_recorded_runs(
-        self, make_host, ps, i, j, trials, seed, path
+        self, make_host, ps, i, j, pair, trials, seed, path
     ):
-        # Same streams, two engines: either chain path must agree with the
+        # Same streams, two engines: the chain walker must agree with the
         # event evaluated on fully recorded runs, trial by trial.
         host = make_host()
         assert ps.k >= j
-        u, v = next(iter(non_edges(host)))
+        u, v = pair or next(iter(non_edges(host)))
         est = estimate_conditional_chain(host, ps, i, j, u, v, trials, seed)
         assert est.path == path
         counts = [trials] + [0] * j
@@ -271,6 +288,43 @@ class TestConditionalChain:
                 counts[step_t] += 1
         assert est.counts == counts
 
+    @pytest.mark.parametrize(
+        "ps,lower,path,law,seed",
+        [
+            # step 1 keeps 22 of 29 picks; u is then one of 9 active vertices
+            # after a K20 pick (20/29) or of 27 after a K2 pick (2/29), and v
+            # one of 5 or of 23
+            (CLIQUES_LIGHT, None, "light",
+             [Fraction(22, 29), Fraction(62, 783), Fraction(278, 18009)], 31),
+            # the rail cuts the K2 picks, so only the K20 branch is left
+            (CLIQUES_FULL, None, "full",
+             [Fraction(20, 29), Fraction(20, 261), Fraction(4, 261)], 32),
+            # a lower rail above 0 (a ParamSet reaches one only with n >= 700
+            # and pn within about 1e-4 of 1) cuts every trial that leaves the
+            # K2 active: the K2 branch is left
+            (CLIQUES_LIGHT, 1.5, "full",
+             [Fraction(2, 29), Fraction(2, 783), Fraction(2, 18009)], 33),
+        ],
+        ids=["light", "full", "lower-rail"],
+    )
+    def test_counts_match_exact_chain_law(
+        self, monkeypatch, ps, lower, path, law, seed
+    ):
+        if lower is not None:
+            def lifted(ps, t):
+                return dataclasses.replace(envelope(ps, t), lower=lower)
+
+            monkeypatch.setattr(mc, "envelope", lifted)
+            monkeypatch.setattr(exact_greedy, "envelope", lifted)
+        host = disjoint_cliques(*CLIQUES)
+        assert chain_law(host, ps, 2, 3, 20, 24) == law
+        trials = 100_000
+        est = estimate_conditional_chain(host, ps, 2, 3, 20, 24, trials, seed)
+        assert est.path == path
+        for count, p in zip(est.counts[1:], law):
+            sigma = math.sqrt(trials * p * (1 - p))
+            assert abs(count - trials * p) <= 5 * sigma, (count, float(p))
+
     def test_insufficient_cells_flagged(self):
         host = empty_graph(10)
         ps = ParamSet(10, 0.5, k_coef=2.0)
@@ -284,7 +338,7 @@ class TestConditionalChain:
         # Two disjoint cliques: step 1 always leaves a clique whose common
         # degree tops the envelope, so the no-violation requirement kills
         # every trial at step 1 regardless of which vertex was chosen.
-        host = two_cliques(100)
+        host = disjoint_cliques(100, 100)
         ps = ParamSet(200, 0.02)
         est = estimate_conditional_chain(
             host, ps, i=1, j=2, u=0, v=100, trials=300, seed=3
