@@ -14,6 +14,10 @@ Margins report the worst consumed-slack fraction even when a check passes:
 at desk scale the f-intervals are often wider than the quantity itself, and
 the margin says by how much.  `strict_factor` shrinks every slack
 (f0, f_s, delta2) by a constant to turn vacuous passes into real ones.
+
+Working memory beyond the host's own packed rows is bounded: the codegree
+scan ANDs at most P3_CHUNK_BYTES of rows per operand at a time, whatever n
+is, and P1 keeps each tested subset as one n-bit mask.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .params import ParamSet, check_host_n, error_f
 from .process import run_with_generator
 
 P3_EXHAUSTIVE_LIMIT = 20000
-# Bytes of packed rows one sampled-mode P3 chunk gathers per operand.
-P3_CHUNK_BYTES = 1 << 22
+# Bytes of packed rows one P3 step ANDs per operand (512 rows at n = 2000).
+P3_CHUNK_BYTES = 1 << 17
 
 
 class P1Violation(NamedTuple):
@@ -54,13 +58,17 @@ class P3Violation(NamedTuple):
 
 @dataclass
 class P1Fragment:
-    """Sampled non-neighbourhood check; `samples` keeps every (S, observed)."""
+    """Sampled non-neighbourhood check; `samples` keeps every (S, observed).
+
+    Each tested S is kept as the `VertexSet` the check built, one n-bit mask,
+    so the retained evidence is about n/8 bytes a subset whatever its size.
+    """
 
     subsets_tested: int
     max_size_tested: int
     violations: list[P1Violation]
     margin_min: float | None
-    samples: list[tuple[tuple[int, ...], int]] = field(repr=False)
+    samples: list[tuple[VertexSet, int]] = field(repr=False)
     mode: str = "sampled"
 
 
@@ -131,28 +139,36 @@ def check_p3(
 
     Exhaustive through n = 20000; above that a seeded sample of
     `pair_sample` pairs is scanned and the fragment is flagged "sampled".
+    Either way each step ANDs at most P3_CHUNK_BYTES of packed rows per
+    operand, so beyond the host's own rows the working memory is a few
+    P3_CHUNK_BYTES (plus, sampled, the drawn pair indices).
     """
     _check_strict_factor(strict_factor)
     check_host_n(ps, g)
     cap = strict_factor * ps.delta2
     violations: list[P3Violation] = []
     max_codeg = 0
-    pairs = 0
+    # the host's own word-aligned rows, popcounted a word at a time; int32
+    # sums hold any codegree and reduce faster than int64 ones
+    words = g.packed_words()
+    slab = max(P3_CHUNK_BYTES // words[0].nbytes, 1)
 
     if g.n <= P3_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
-        # the host's own word-aligned rows, popcounted a word at a time
-        words = g.packed_words()
+        pairs = g.n * (g.n - 1) // 2
         for u in range(g.n - 1):
-            counts = np.bitwise_count(words[u] & words[u + 1 :]).sum(
-                axis=1, dtype=np.int64
-            )
-            pairs += counts.size
-            if counts.size:
-                max_codeg = max(max_codeg, int(counts.max()))
-                for off in np.nonzero(counts > cap)[0]:
-                    v = u + 1 + int(off)
-                    violations.append(P3Violation(u, v, int(counts[off])))
+            row = words[u]
+            # v ascending slab by slab, so violations come in (u, v) order
+            for a in range(u + 1, g.n, slab):
+                counts = np.bitwise_count(row & words[a : a + slab]).sum(
+                    axis=1, dtype=np.int32
+                )
+                top = int(counts.max())
+                max_codeg = max(max_codeg, top)
+                if top > cap:
+                    for off in np.nonzero(counts > cap)[0]:
+                        v = a + int(off)
+                        violations.append(P3Violation(u, v, int(counts[off])))
     else:
         mode = "sampled"
         if pair_sample < 1:
@@ -160,21 +176,21 @@ def check_p3(
         gen = _rng.stream(seed, _rng.P3_SAMPLE)
         us = gen.integers(0, g.n, size=pair_sample)
         vs = gen.integers(0, g.n - 1, size=pair_sample)
-        vs = np.where(vs >= us, vs + 1, vs)  # uniform over ordered pairs, u != v
-        rows = g.packed_rows()
-        # the pairs' rows are gathered a bounded chunk at a time
-        chunk = max(P3_CHUNK_BYTES // rows.shape[1], 1)
-        counts = np.concatenate([
-            np.bitwise_count(rows[us[a : a + chunk]] & rows[vs[a : a + chunk]]).sum(
-                axis=1, dtype=np.int64
-            )
-            for a in range(0, pair_sample, chunk)
-        ])
+        vs += vs >= us  # uniform over ordered pairs, u != v
         pairs = pair_sample
-        max_codeg = int(counts.max())
-        for idx in np.nonzero(counts > cap)[0]:
-            u, v = int(us[idx]), int(vs[idx])
-            violations.append(P3Violation(min(u, v), max(u, v), int(counts[idx])))
+        for a in range(0, pair_sample, slab):
+            cu, cv = us[a : a + slab], vs[a : a + slab]
+            counts = np.bitwise_count(words[cu] & words[cv]).sum(
+                axis=1, dtype=np.int32
+            )
+            top = int(counts.max())
+            max_codeg = max(max_codeg, top)
+            if top > cap:
+                for off in np.nonzero(counts > cap)[0]:
+                    u, v = int(cu[off]), int(cv[off])
+                    violations.append(
+                        P3Violation(min(u, v), max(u, v), int(counts[off]))
+                    )
 
     return P3Fragment(
         violations=violations,
@@ -230,15 +246,15 @@ def check_p1(
         for r in range(n_prefix)
     ]
 
-    samples: list[tuple[tuple[int, ...], int]] = []
+    samples: list[tuple[VertexSet, int]] = []
     violations: list[P1Violation] = []
     worst = 0.0
     tested = 0
 
-    def consider(subset: tuple[int, ...]) -> None:
+    def consider(subset: VertexSet) -> None:
         nonlocal worst, tested
         s = len(subset)
-        obs = common_non_neighbourhood(g, VertexSet.from_iterable(g.n, subset)).size
+        obs = common_non_neighbourhood(g, subset).size
         mu = (1 - ps.p) ** s * ps.n
         slack = strict_factor * error_f(ps, s) * mu
         lo, hi = mu - slack, mu + slack
@@ -246,15 +262,16 @@ def check_p1(
         samples.append((subset, obs))
         worst = max(worst, abs(obs - mu) / slack)
         if not lo <= obs <= hi:
-            violations.append(P1Violation(list(subset), obs, (lo, hi)))
+            violations.append(P1Violation(subset.to_list(), obs, (lo, hi)))
 
     for s in range(1, max_size + 1):
         gen = _rng.stream(seed, _rng.SUBSET, s)
         for _ in range(n_uniform):
-            consider(tuple(sorted(gen.choice(g.n, size=s, replace=False))))
+            subset = gen.choice(g.n, size=s, replace=False)
+            consider(VertexSet.from_iterable(g.n, subset))
         for order in orders:
             if len(order) >= s:
-                consider(tuple(sorted(order[:s])))
+                consider(VertexSet.from_iterable(g.n, order[:s]))
 
     return P1Fragment(
         subsets_tested=tested,

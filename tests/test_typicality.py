@@ -14,7 +14,13 @@ import pytest
 
 from greedycover import rng, typicality
 from greedycover.cli import plain
-from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
+from greedycover.graph import (
+    Graph,
+    VertexSet,
+    complete_bipartite,
+    gnp_sample,
+    is_independent,
+)
 from greedycover.params import ParamSet, error_f
 from greedycover.typicality import (
     check_p1,
@@ -122,18 +128,19 @@ class TestP3:
         assert len(frag.violations) == n * (n - 1) // 2
 
     def test_exhaustive_mode_makes_no_copy_of_rows(self):
-        n = 2000
-        g = gnp_sample(n, 0.05, seed=5)
-        words = g.packed_words()  # the host's own rows are not the check's memory
-        tracemalloc.start()
-        try:
-            frag = check_p3(g, ParamSet(n, 0.05))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert frag.mode == "exhaustive" and frag.pairs_tested == n * (n - 1) // 2
-        # one AND of row u with the rows after it, plus its popcounts
-        assert peak < 1.5 * words.nbytes
+        for n in (2000, 4000):
+            g = gnp_sample(n, 0.05, seed=5)
+            g.packed_words()  # the host's own rows are not the check's memory
+            tracemalloc.start()
+            try:
+                frag = check_p3(g, ParamSet(n, 0.05))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert frag.mode == "exhaustive"
+            assert frag.pairs_tested == n * (n - 1) // 2
+            # one slab's AND, popcounts and sums whatever n is (0.2 MB measured)
+            assert peak < 4 * typicality.P3_CHUNK_BYTES
 
     def test_brute_force_oracle_with_strict_factor(self):
         g = gnp_sample(120, 0.2, seed=7)
@@ -153,6 +160,28 @@ class TestP3:
         assert frag.max_codegree == max(
             len(nbr[u] & nbr[v]) for u in range(120) for v in range(u + 1, 120)
         )
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    @pytest.mark.parametrize("chunk_bytes", [8, 200])
+    def test_exhaustive_slabs_keep_violation_order(self, monkeypatch, n, chunk_bytes):
+        # one-row slabs, and slabs that split the rows after u mid-host
+        # (25 rows of one word, 12 of two, 8 of three); the cap is the
+        # median codegree, so some slabs hold violations and some none
+        monkeypatch.setattr(typicality, "P3_CHUNK_BYTES", chunk_bytes)
+        g = gnp_sample(n, 0.3, seed=n)
+        ps = ParamSet(n, 0.3)
+        nbr = [set(g.neighbors(v)) for v in range(n)]
+        codeg = [
+            (u, v, len(nbr[u] & nbr[v])) for u in range(n) for v in range(u + 1, n)
+        ]
+        counts = sorted(c for _, _, c in codeg)
+        factor = counts[len(counts) // 2] / ps.delta2
+        frag = check_p3(g, ps, strict_factor=factor)
+        want = [c for c in codeg if c[2] > factor * ps.delta2]
+        assert 0 < len(want) < len(codeg)
+        assert frag.violations == want
+        assert frag.max_codegree == counts[-1]
+        assert frag.pairs_tested == len(codeg)
 
     def test_sampled_mode_beyond_limit(self):
         n = 20001
@@ -196,8 +225,9 @@ class TestP3:
             check_p3(g, ParamSet(60, 0.3), pair_sample=pair_sample)
 
     def test_sampled_mode_memory_is_bounded(self):
-        # 20000 pairs of 2501-byte rows: gathering both operands at once
-        # would take 100 MB
+        # 20000 pairs of 2504-byte rows: gathering both operands at once
+        # would take 100 MB; 0.88 MB was measured: the drawn pairs' indices
+        # (0.32 MB) and one slab's gathered rows, AND and popcounts
         n = 20001
         g = complete_bipartite(10000, 10001)
         g.packed_rows()  # the host's own rows are not the check's memory
@@ -209,7 +239,7 @@ class TestP3:
             tracemalloc.stop()
         assert frag.mode == "sampled" and frag.pairs_tested == 20000
         assert frag.max_codegree == 10001
-        assert peak < 32e6
+        assert peak < 1.1e6  # measured + 25%
 
 
 class TestP1:
@@ -242,6 +272,37 @@ class TestP1:
             for v in subset:
                 union |= nbr[v]
             assert obs == 300 - len(union)
+
+    def test_samples_are_masks_and_violations_their_members(self):
+        g = gnp_sample(300, 0.1, seed=11)
+        ps = ParamSet(300, 0.1)
+        factor = 0.0002  # 15 of the 170 subsets fall outside
+        frag = check_p1(g, ps, budget=10, seed=4, strict_factor=factor)
+        flagged = []
+        for subset, obs in frag.samples:
+            assert isinstance(subset, VertexSet) and subset.n == 300
+            assert isinstance(obs, int)
+            mu = (1 - ps.p) ** len(subset) * ps.n
+            slack = factor * error_f(ps, len(subset)) * mu
+            if not mu - slack <= obs <= mu + slack:
+                flagged.append((sorted(subset), obs))
+        assert flagged, "test host must produce violations at this factor"
+        assert [(v.S, v.observed) for v in frag.violations] == flagged
+
+    def test_retained_fragment_size(self):
+        # 920 subsets at n = 2000 (k = 46): one 2000-bit mask each, 331 KB
+        # measured, where tuples of their members took 461 KB
+        g = gnp_sample(2000, 0.05, seed=9)
+        ps = ParamSet(2000, 0.05)
+        check_p1(g, ps, budget=20, seed=2)  # the host's lazy caches
+        tracemalloc.start()
+        try:
+            frag = check_p1(g, ps, budget=20, seed=2)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert frag.subsets_tested == 920
+        assert retained < 365_000  # measured + 10%
 
     def test_prefix_samples_are_independent_sets(self):
         g = gnp_sample(200, 0.1, seed=6)
