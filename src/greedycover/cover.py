@@ -129,14 +129,11 @@ def build_theta1_adaptive(
         raise ValueError("max_t must be >= 1")
     tracker = _CoverageTracker(host)
     sets: list[VertexSet] = []
-    if tracker.total == 0:
-        return Cover(sets=sets, host_n=host.n), 0
-    for row in _rng.trial_rows(seed, _rng.COVER_FLAT, 0, max_t, ps.k):
-        mask = sample_independent_set(host, ps.k, row)
+    rows = _rng.trial_rows(seed, _rng.COVER_FLAT, 0, max_t, ps.k)
+    while len(sets) < max_t and not tracker.complete:
+        mask = sample_independent_set(host, ps.k, next(rows))
         sets.append(VertexSet(host.n, mask))
         tracker.add(mask)
-        if tracker.complete:
-            break
     return Cover(sets=sets, host_n=host.n), len(sets)
 
 
@@ -192,16 +189,12 @@ def build_pdim_adaptive(
         raise ValueError("s and max_t must be >= 1")
     tracker = _CoverageTracker(host)
     partitions: list[list[VertexSet]] = []
-    if tracker.total == 0:
-        return PartitionCover(partitions=partitions, host_n=host.n), 0
     rows = _rng.trial_rows(seed, _rng.COVER_PART, 0, s * max_t, ps.k)
-    for _ in range(max_t):
+    while len(partitions) < max_t and not tracker.complete:
         cells = _partition(host, ps.k, islice(rows, s))
         partitions.append(cells)
         for cell in cells:
             tracker.add(cell.members)
-        if tracker.complete:
-            break
     return PartitionCover(partitions=partitions, host_n=host.n), len(partitions)
 
 

@@ -131,11 +131,7 @@ def estimate_membership(
     args = (host, ps.k, seed, us, vs)
     parts = chunked_map(_membership_chunk, args, trials, _LIGHT_CHUNK, threads)
 
-    vcount, pcount, sizes = parts[0]
-    for vc, pc, sz in parts[1:]:
-        vcount += vc
-        pcount += pc
-        sizes += sz
+    vcount, pcount, sizes = map(sum, zip(*parts))
 
     vfreq = vcount / trials
     pfreq = pcount / trials

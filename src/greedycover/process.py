@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, mask_bits
-from .params import ParamSet, check_host_n, error_f, expected_degree
+from .params import ParamSet, check_host_n, envelope, error_f, expected_degree
 
 
 @dataclass
@@ -162,20 +162,16 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
             rows, axis=1, count=host.n, bitorder="little"
         ).sum(axis=0, dtype=np.int64)
 
+    e = envelope(state.ps, i)
     if state.ids:
         d_act = state.active_degrees()
         deg_min = int(d_act.min())
         deg_max = int(d_act.max())
         deg_mean = float(d_act.mean())
+        in_env = e.lower <= deg_min and deg_max <= e.upper
     else:
         deg_min = deg_max = deg_mean = None
-
-    d_t = expected_degree(state.ps, i)
-    f_i = error_f(state.ps, i)
-    if deg_min is None:
         in_env = True
-    else:
-        in_env = deg_min >= (1.0 - f_i) * d_t and deg_max <= (1.0 + f_i) * d_t
 
     return StepRecord(
         i=i,
@@ -184,8 +180,8 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
         deg_min=deg_min,
         deg_max=deg_max,
         deg_mean=deg_mean,
-        d_tilde=d_t,
-        f_i=f_i,
+        d_tilde=e.d_tilde,
+        f_i=e.f_i,
         in_envelope=in_env,
     )
 
@@ -441,7 +437,10 @@ class EnsembleSummary:
     ratio lists compare the mean induced degree over V_i with p*(|V_i|-1)
     per step, pooled over runs that reached the step with |V_i| > 1; a step
     that no run reached so holds None.  Drift stats pool live increments of
-    the tracked vertices across all runs.
+    the tracked vertices across all runs.  violation_runs counts the runs
+    with at least one step outside the envelope; tau_equals_completed_fraction
+    is the share of runs with tau == completed_steps, which includes a run
+    whose first violation is its last completed step.
     """
 
     trials: int
@@ -595,17 +594,15 @@ def _ensemble_chunk(
     k = ps.k
     out = {
         "violations": 0,
+        "early": 0,
         "completed": [],
         "sizes": [],
         "count": np.zeros(k, dtype=np.int64),
         "rsum": np.zeros(k),
+        "dx_sums": np.zeros(4),  # sums of dX^-, (dX^-)^2, dX^+, (dX^+)^2
+        "dn": 0,
         "rmin": np.full(k, np.inf),
         "rmax": np.full(k, -np.inf),
-        "dm_sum": 0.0,
-        "dm_sq": 0.0,
-        "dp_sum": 0.0,
-        "dp_sq": 0.0,
-        "dn": 0,
     }
     rows = _rng.trial_rows(seed, _rng.RUN, start, stop, k)
     for t, draws in zip(range(start, stop), rows):
@@ -614,24 +611,22 @@ def _ensemble_chunk(
         live = stats.live
         dm = stats.dx_minus[live]
         dp = stats.dx_plus[live]
-        out["dm_sum"] += float(dm.sum())
-        out["dm_sq"] += float((dm * dm).sum())
-        out["dp_sum"] += float(dp.sum())
-        out["dp_sq"] += float((dp * dp).sum())
+        out["dx_sums"] += [dm.sum(), (dm * dm).sum(), dp.sum(), (dp * dp).sum()]
         out["dn"] += int(dm.size)
-        if any(not r.in_envelope for r in prun.records):
-            out["violations"] += 1
+        out["violations"] += any(not r.in_envelope for r in prun.records)
+        out["early"] += prun.tau < prun.completed_steps
         out["completed"].append(prun.completed_steps)
         out["sizes"].append(prun.chosen.size)
-        for rec in prun.records:
-            if rec.active_size > 1:
-                denom = ps.p * (rec.active_size - 1)
-                ratio = rec.deg_mean / denom
-                c = rec.i - 1
-                out["count"][c] += 1
-                out["rsum"][c] += ratio
-                out["rmin"][c] = min(out["rmin"][c], ratio)
-                out["rmax"][c] = max(out["rmax"][c], ratio)
+        # active sizes only shrink, so the steps with |V_i| > 1 are a prefix
+        recs = [r for r in prun.records if r.active_size > 1]
+        m = len(recs)
+        ratios = np.array([r.deg_mean for r in recs]) / (
+            ps.p * (np.array([r.active_size for r in recs]) - 1)
+        )
+        out["count"][:m] += 1
+        out["rsum"][:m] += ratios
+        out["rmin"][:m] = np.minimum(out["rmin"][:m], ratios)
+        out["rmax"][:m] = np.maximum(out["rmax"][:m], ratios)
     return out
 
 
@@ -658,19 +653,14 @@ def ensemble_run(
     # Later chunks merge into the first; a chunk's float partials start at
     # +0.0 and +-inf, so this is bit for bit a merge into fresh zeros.
     tot = parts[0]
+    additive = (
+        "violations", "early", "completed", "sizes", "count", "rsum", "dx_sums", "dn"
+    )
     for part in parts[1:]:
-        tot["violations"] += part["violations"]
-        tot["completed"].extend(part["completed"])
-        tot["sizes"].extend(part["sizes"])
-        tot["count"] += part["count"]
-        tot["rsum"] += part["rsum"]
+        for key in additive:
+            tot[key] += part[key]
         tot["rmin"] = np.minimum(tot["rmin"], part["rmin"])
         tot["rmax"] = np.maximum(tot["rmax"], part["rmax"])
-        tot["dm_sum"] += part["dm_sum"]
-        tot["dm_sq"] += part["dm_sq"]
-        tot["dp_sum"] += part["dp_sum"]
-        tot["dp_sq"] += part["dp_sq"]
-        tot["dn"] += part["dn"]
 
     count, dn = tot["count"], tot["dn"]
 
@@ -684,14 +674,15 @@ def ensemble_run(
         var = max(sq / dn - mean * mean, 0.0)
         return mean, math.sqrt(var / dn)
 
-    dm_mean, dm_se = moments(tot["dm_sum"], tot["dm_sq"])
-    dp_mean, dp_se = moments(tot["dp_sum"], tot["dp_sq"])
+    dm_sum, dm_sq, dp_sum, dp_sq = tot["dx_sums"].tolist()
+    dm_mean, dm_se = moments(dm_sum, dm_sq)
+    dp_mean, dp_se = moments(dp_sum, dp_sq)
     return EnsembleSummary(
         trials=trials,
         params=ps,
         seed=seed,
         violation_runs=tot["violations"],
-        tau_equals_completed_fraction=1.0 - tot["violations"] / trials,
+        tau_equals_completed_fraction=1.0 - tot["early"] / trials,
         completed_steps=tot["completed"],
         set_sizes=tot["sizes"],
         step_counts=count.tolist(),

@@ -148,8 +148,20 @@ def check_p3(
     cap = strict_factor * ps.delta2
     violations: list[P3Violation] = []
     max_codeg = 0
-    # the host's own word-aligned rows, popcounted a word at a time; int32
-    # sums hold any codegree and reduce faster than int64 ones
+
+    def fold(anded: np.ndarray, pair) -> None:
+        # one slab of ANDed row pairs; pair(off) names the pair at an offset
+        # whose codegree exceeds the cap.  int32 sums hold any codegree and
+        # reduce faster than int64 ones
+        nonlocal max_codeg
+        counts = np.bitwise_count(anded).sum(axis=1, dtype=np.int32)
+        top = int(counts.max())
+        max_codeg = max(max_codeg, top)
+        if top > cap:
+            for off in np.nonzero(counts > cap)[0]:
+                violations.append(P3Violation(*pair(int(off)), int(counts[off])))
+
+    # the host's own word-aligned rows, popcounted a word at a time
     words = g.packed_words()
     slab = max(P3_CHUNK_BYTES // words[0].nbytes, 1)
 
@@ -160,15 +172,7 @@ def check_p3(
             row = words[u]
             # v ascending slab by slab, so violations come in (u, v) order
             for a in range(u + 1, g.n, slab):
-                counts = np.bitwise_count(row & words[a : a + slab]).sum(
-                    axis=1, dtype=np.int32
-                )
-                top = int(counts.max())
-                max_codeg = max(max_codeg, top)
-                if top > cap:
-                    for off in np.nonzero(counts > cap)[0]:
-                        v = a + int(off)
-                        violations.append(P3Violation(u, v, int(counts[off])))
+                fold(row & words[a : a + slab], lambda off: (u, a + off))
     else:
         mode = "sampled"
         if pair_sample < 1:
@@ -180,17 +184,10 @@ def check_p3(
         pairs = pair_sample
         for a in range(0, pair_sample, slab):
             cu, cv = us[a : a + slab], vs[a : a + slab]
-            counts = np.bitwise_count(words[cu] & words[cv]).sum(
-                axis=1, dtype=np.int32
+            fold(
+                words[cu] & words[cv],
+                lambda off: sorted((int(cu[off]), int(cv[off]))),
             )
-            top = int(counts.max())
-            max_codeg = max(max_codeg, top)
-            if top > cap:
-                for off in np.nonzero(counts > cap)[0]:
-                    u, v = int(cu[off]), int(cv[off])
-                    violations.append(
-                        P3Violation(min(u, v), max(u, v), int(counts[off]))
-                    )
 
     return P3Fragment(
         violations=violations,

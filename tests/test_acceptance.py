@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from greedycover.typicality import check_p3, is_typical
 from numpy_oracle import numpy_stream
 
 THREADS = 4
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -507,6 +510,7 @@ def test_criterion_12_typicality_rate():
 def _cli(argv: list[str]) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-m", "greedycover", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         timeout=300,
     )

@@ -10,10 +10,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,8 @@ from greedycover.montecarlo import bipartite_comparison, estimate_membership
 from greedycover.params import ParamSet, bound_formulas
 from greedycover.process import ensemble_run, run
 from greedycover.typicality import is_typical
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def star(n):
@@ -602,6 +606,7 @@ class TestSubprocessContract:
     def _invoke(self, argv):
         return subprocess.run(
             [sys.executable, "-m", "greedycover", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             timeout=300,
         )

@@ -182,6 +182,25 @@ class TestPdim:
         report = verify_cover(host, pc)
         assert report.uncovered == [] and report.covered_fraction == 1.0
 
+    def test_adaptive_is_prefix_of_fixed(self):
+        host = gnp_sample(120, 0.1, seed=3)
+        ps = ParamSet(120, 0.1)
+        pc, count = build_pdim_adaptive(host, ps, seed=4, s=3)
+        assert count == len(pc.partitions) >= 2
+        fixed = build_pdim_cover(host, ps, t=count, seed=4, s=3)
+        assert pc.partitions == fixed.partitions
+        # the stop rule fires on the first complete prefix, not later
+        short = verify_cover(host, PartitionCover(pc.partitions[:-1], host.n))
+        assert short.uncovered
+
+    def test_adaptive_builders_draw_nothing_on_complete_host(self):
+        host = complete(25)
+        ps = ParamSet(25, 0.2)
+        pc, count = build_pdim_adaptive(host, ps, seed=1)
+        assert count == 0 and pc.partitions == []
+        cover, count = build_theta1_adaptive(host, ps, seed=1)
+        assert count == 0 and cover.sets == []
+
     def test_singleton_count(self):
         pc = PartitionCover(
             partitions=[

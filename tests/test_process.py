@@ -19,7 +19,7 @@ import pytest
 from greedycover import rng
 from greedycover.cli import plain
 from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
-from greedycover.params import ParamSet, error_f, expected_degree
+from greedycover.params import ParamSet, envelope, error_f, expected_degree
 from greedycover.process import (
     chunked_map,
     ensemble_run,
@@ -195,6 +195,24 @@ class TestRunContract:
         assert r.records[0].deg_max == 99
         env_hi = (1 + error_f(ps, 1)) * expected_degree(ps, 1)
         assert r.records[0].deg_max > env_hi
+
+    @pytest.mark.parametrize(
+        "host, ps, violates",
+        [
+            (gnp_sample(50, 0.3, seed=8), ParamSet(50, 0.3), False),
+            (two_cliques(100), ParamSet(200, 0.02), True),
+        ],
+    )
+    def test_records_read_params_envelope(self, host, ps, violates):
+        r = run(host, ps, seed=3)
+        assert any(not rec.in_envelope for rec in r.records) == violates
+        for rec in r.records:
+            e = envelope(ps, rec.i)
+            assert (rec.d_tilde, rec.f_i) == (e.d_tilde, e.f_i)
+            inside = rec.deg_min is None or (
+                e.lower <= rec.deg_min and rec.deg_max <= e.upper
+            )
+            assert rec.in_envelope == inside
 
     def test_param_host_mismatch_rejected(self):
         host = gnp_sample(30, 0.2, seed=0)
@@ -401,7 +419,7 @@ class TestEnsemble:
     def test_matches_individual_runs(self):
         host = gnp_sample(50, 0.2, seed=6)
         ps = ParamSet(50, 0.2)
-        trials = 40
+        trials = 70  # three chunks
         summ = ensemble_run(host, ps, trials, seed=17)
         runs = [run(host, ps, 17, index=t) for t in range(trials)]
         assert summ.completed_steps == [r.completed_steps for r in runs]
@@ -422,8 +440,8 @@ class TestEnsemble:
                 continue
             assert summ.step_counts[i - 1] == len(ratios)
             assert abs(summ.ratio_mean[i - 1] - sum(ratios) / len(ratios)) < TOL
-            assert abs(summ.ratio_min[i - 1] - min(ratios)) < TOL
-            assert abs(summ.ratio_max[i - 1] - max(ratios)) < TOL
+            assert summ.ratio_min[i - 1] == min(ratios)
+            assert summ.ratio_max[i - 1] == max(ratios)
 
     def test_thread_count_is_invisible(self):
         host = gnp_sample(50, 0.2, seed=6)
@@ -456,6 +474,16 @@ class TestEnsemble:
         summ = ensemble_run(host, ps, 10, seed=1)
         assert summ.violation_runs == 10
         assert summ.tau_equals_completed_fraction == 0.0
+
+    def test_violation_on_last_step_keeps_tau_equal_completed(self):
+        # k = 1: each run's one step violates, so tau == completed_steps == 1
+        host = two_cliques(100)
+        ps = ParamSet(200, 0.02, k_coef=0.02)
+        summ = ensemble_run(host, ps, 10, seed=1)
+        runs = [run(host, ps, 1, index=t) for t in range(10)]
+        assert all(r.tau == r.completed_steps == 1 for r in runs)
+        assert summ.violation_runs == 10
+        assert summ.tau_equals_completed_fraction == 1.0
 
     def test_trials_validation(self):
         host = gnp_sample(30, 0.2, seed=0)
