@@ -3,145 +3,104 @@
 Trajectory tracking with envelope diagnostics, typicality checking,
 non-edge cover construction, and Monte Carlo estimators, all behind
 reproducible counter-based random streams.
+
+`import greedycover` loads no submodule: each exported name loads its home
+module on first access (PEP 562), so a program pays only for the modules
+it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .graph import (
-    EdgeListError,
-    Graph,
-    VertexSet,
-    codegree,
-    common_non_neighbourhood,
-    complete_bipartite,
-    from_edge_list,
-    gnp_sample,
-    is_independent,
-    non_edges,
-    to_edge_list,
-)
-from .params import (
-    EnvelopePoint,
-    ParamSet,
-    bound_formulas,
-    chernoff_bound,
-    derive_params,
-    envelope,
-    error_f,
-    expected_degree,
-    failure_prob_bound,
-    freedman_bound,
-    variation_cap,
-)
-from .process import (
-    EnsembleSummary,
-    IncrementStats,
-    ProcessRun,
-    ProcessState,
-    StepRecord,
-    ensemble_run,
-    increment_bound,
-    increment_diagnostics,
-    init,
-    run,
-    sample_independent_set,
-    step,
-)
-from .typicality import (
-    ETableRow,
-    P1Fragment,
-    P2Fragment,
-    P3Fragment,
-    TypicalityReport,
-    check_p1,
-    check_p2,
-    check_p3,
-    e_table,
-    is_typical,
-)
-from .cover import (
-    Cover,
-    CoverReport,
-    CoverStructureError,
-    PartitionCover,
-    build_pdim_adaptive,
-    build_pdim_cover,
-    build_theta1_adaptive,
-    build_theta1_cover,
-    verify_cover,
-)
-from .montecarlo import (
-    BipartiteComparison,
-    ConditionalEstimate,
-    EstimateReport,
-    bipartite_comparison,
-    estimate_conditional_chain,
-    estimate_membership,
-    sample_non_edges,
-    uniform_independent_set,
-)
+# The exported names of each module; __all__, __dir__ and __getattr__ read it.
+_EXPORTS = {
+    "graph": (
+        "EdgeListError",
+        "Graph",
+        "VertexSet",
+        "codegree",
+        "common_non_neighbourhood",
+        "complete_bipartite",
+        "from_edge_list",
+        "gnp_sample",
+        "is_independent",
+        "non_edges",
+        "to_edge_list",
+    ),
+    "params": (
+        "EnvelopePoint",
+        "ParamSet",
+        "bound_formulas",
+        "chernoff_bound",
+        "derive_params",
+        "envelope",
+        "error_f",
+        "expected_degree",
+        "failure_prob_bound",
+        "freedman_bound",
+        "variation_cap",
+    ),
+    "process": (
+        "EnsembleSummary",
+        "IncrementStats",
+        "ProcessRun",
+        "ProcessState",
+        "StepRecord",
+        "ensemble_run",
+        "increment_bound",
+        "increment_diagnostics",
+        "init",
+        "run",
+        "sample_independent_set",
+        "step",
+    ),
+    "typicality": (
+        "ETableRow",
+        "P1Fragment",
+        "P2Fragment",
+        "P3Fragment",
+        "TypicalityReport",
+        "check_p1",
+        "check_p2",
+        "check_p3",
+        "e_table",
+        "is_typical",
+    ),
+    "cover": (
+        "Cover",
+        "CoverReport",
+        "CoverStructureError",
+        "PartitionCover",
+        "build_pdim_adaptive",
+        "build_pdim_cover",
+        "build_theta1_adaptive",
+        "build_theta1_cover",
+        "verify_cover",
+    ),
+    "montecarlo": (
+        "BipartiteComparison",
+        "ConditionalEstimate",
+        "EstimateReport",
+        "bipartite_comparison",
+        "estimate_conditional_chain",
+        "estimate_membership",
+        "sample_non_edges",
+        "uniform_independent_set",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BipartiteComparison",
-    "ConditionalEstimate",
-    "Cover",
-    "CoverReport",
-    "CoverStructureError",
-    "EdgeListError",
-    "EnsembleSummary",
-    "EnvelopePoint",
-    "EstimateReport",
-    "ETableRow",
-    "Graph",
-    "IncrementStats",
-    "P1Fragment",
-    "P2Fragment",
-    "P3Fragment",
-    "ParamSet",
-    "PartitionCover",
-    "ProcessRun",
-    "ProcessState",
-    "StepRecord",
-    "TypicalityReport",
-    "VertexSet",
-    "bipartite_comparison",
-    "bound_formulas",
-    "build_pdim_adaptive",
-    "build_pdim_cover",
-    "build_theta1_adaptive",
-    "build_theta1_cover",
-    "chernoff_bound",
-    "check_p1",
-    "check_p2",
-    "check_p3",
-    "codegree",
-    "common_non_neighbourhood",
-    "complete_bipartite",
-    "derive_params",
-    "e_table",
-    "ensemble_run",
-    "envelope",
-    "error_f",
-    "estimate_conditional_chain",
-    "estimate_membership",
-    "expected_degree",
-    "failure_prob_bound",
-    "freedman_bound",
-    "from_edge_list",
-    "gnp_sample",
-    "increment_bound",
-    "increment_diagnostics",
-    "init",
-    "is_independent",
-    "is_typical",
-    "non_edges",
-    "run",
-    "sample_independent_set",
-    "sample_non_edges",
-    "step",
-    "to_edge_list",
-    "uniform_independent_set",
-    "variation_cap",
-    "verify_cover",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

@@ -17,7 +17,7 @@ malformed input files).
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import io
 import json
 import math
@@ -26,25 +26,51 @@ from dataclasses import field, fields, is_dataclass, make_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .cover import (
-    build_pdim_adaptive,
-    build_pdim_cover,
-    build_theta1_adaptive,
-    build_theta1_cover,
-    verify_cover,
-)
 from .graph import Graph, VertexSet, from_edge_list, gnp_sample, to_edge_list
-from .montecarlo import (
-    bipartite_comparison,
-    estimate_conditional_chain,
-    estimate_membership,
-    uniform_independent_set,
-)
 from .params import ParamSet, bound_formulas, envelope
-from .process import StepRecord, ensemble_run, run
-from .typicality import is_typical
 
 SCHEMA_VERSION = 1
+
+# The library names each subcommand's executor reads, by home module.
+# `execute` binds them into this module before it runs the subcommand, so a
+# start loads only the modules that subcommand runs.  A name already set
+# here (a test's or a tracer's patch) is kept.
+_LIBRARY = {
+    "run": ("process", ("StepRecord", "ensemble_run", "run")),
+    "typical": ("typicality", ("is_typical",)),
+    "cover": (
+        "cover",
+        (
+            "build_pdim_adaptive",
+            "build_pdim_cover",
+            "build_theta1_adaptive",
+            "build_theta1_cover",
+            "verify_cover",
+        ),
+    ),
+    "estimate": (
+        "montecarlo",
+        (
+            "bipartite_comparison",
+            "estimate_conditional_chain",
+            "estimate_membership",
+            "uniform_independent_set",
+        ),
+    ),
+}
+_HOME = {name: home for home, names in _LIBRARY.values() for name in names}
+
+
+def __getattr__(name: str):
+    """A library name read before its subcommand first runs."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_HOME[name]}"), name)
+
+
+def _bind(sub: str) -> None:
+    for name in _LIBRARY.get(sub, ("", ()))[1]:
+        globals().setdefault(name, __getattr__(name))
 
 
 # The paths of each subcommand: run's trial count, cover's --mode and
@@ -342,6 +368,8 @@ def _json_payload(cfg: RunConfig, body: dict) -> str:
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
+    import csv  # only the CSV path needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -531,6 +559,7 @@ _EXECUTORS = {
 
 def execute(cfg: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit code."""
+    _bind(cfg.subcommand)
     try:
         body, note, code = _EXECUTORS[cfg.subcommand](cfg)
         _emit(cfg, body if isinstance(body, str) else _json_payload(cfg, body), note)

@@ -62,6 +62,11 @@ BLOCK_COUNTERS = 1024
 # arrays in the round loop and 128 KB of words out.
 _STREAM_BLOCK = 4096
 
+# 32-bit draws a vector `Stream.integers` call tests per round (the halves
+# of one bulk kernel call), so its working memory beside the result is a
+# few 256 KB arrays whatever the size.
+_DRAW_BLOCK = 8 * _STREAM_BLOCK
+
 # Counters a `Stream` evaluates ahead of its draws (8 KB): a kernel call
 # costs about the same for one counter as for a few hundred.
 _READAHEAD = 256
@@ -225,8 +230,9 @@ class Stream:
     def integers(self, lo: int, hi: int, size: int | None = None):
         """Uniform integers in [lo, hi): an int, or `size` of them as int64.
 
-        Below 2**32 - 1 the vector form tests a block of 32-bit draws at
-        once and reads again only for the rejected ones.
+        Below 2**32 - 1 the vector form tests up to _DRAW_BLOCK 32-bit draws
+        at a time into the preallocated result, reading no more draws than
+        the values still missing, so it never reads past the last accepted one.
         """
         r = hi - lo - 1
         if r < 0:
@@ -235,11 +241,16 @@ class Stream:
             return lo + self._bounded(r)
         if r == 0 or r >= _MASK32:
             return np.array([lo + self._bounded(r) for _ in range(size)], dtype=np.int64)
-        m, out = r + 1, np.empty(0, dtype=np.uint64)
-        while out.size < size:
-            x = self._halves(size - out.size) * np.uint64(m)
-            out = np.concatenate((out, x[x & _MASK32 >= (_MASK32 - r) % m] >> 32))
-        return out.astype(np.int64) + lo
+        m, threshold = r + 1, (_MASK32 - r) % (r + 1)
+        out, filled = np.empty(size, dtype=np.int64), 0
+        while filled < size:
+            x = self._halves(min(size - filled, _DRAW_BLOCK))
+            x *= np.uint64(m)
+            x = x[x & _MASK32 >= threshold] >> 32
+            out[filled : filled + x.size] = x
+            filled += x.size
+        out += lo
+        return out
 
     def choice(self, n: int, size: int, replace: bool = False) -> list[int]:
         """`size` distinct integers of range(n), in numpy's order.

@@ -10,10 +10,14 @@ makes.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from greedycover import rng
+from greedycover.cli import main
 from greedycover.graph import gnp_sample, to_edge_list
 from numpy_oracle import numpy_stream
 
@@ -191,6 +196,36 @@ class TestStreamReader:
                     )
                 assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize(
+        "size", [rng._DRAW_BLOCK - 1, rng._DRAW_BLOCK, rng._DRAW_BLOCK + 1,
+                 2 * rng._DRAW_BLOCK + 3]
+    )
+    @pytest.mark.parametrize("head", [0, 3])
+    @pytest.mark.parametrize("span", [20001, 3 * 2**30 + 1])
+    def test_vector_integers_across_draw_blocks(self, span, head, size):
+        # head 3 leaves a high half pending before the draw; the scalar draws
+        # after it read the half the draw left pending, if any; span
+        # 3 * 2**30 + 1 rejects about a quarter of the draws of each round
+        ours, ref = reader_pair(index=size + head)
+        np.testing.assert_array_equal(ours.integers(0, 100, head), ref.integers(0, 100, head))
+        np.testing.assert_array_equal(
+            ours.integers(7, 7 + span, size), ref.integers(7, 7 + span, size=size)
+        )
+        for _ in range(3):
+            assert ours.integers(0, 10) == int(ref.integers(0, 10))
+        assert ours.random() == ref.random()
+
+    def test_vector_integers_hold_little_beside_the_result(self):
+        # check_p3's sampled mode at n = 20001 draws 2M pair ends at once
+        ours = rng.stream(3, rng.P3_SAMPLE)
+        tracemalloc.start()
+        try:
+            out = ours.integers(0, 20001, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
     def test_half_carries_from_odd_vector_call_into_scalar(self):
         ours, ref = reader_pair()
         for lo, hi, size in [(0, 100, 3), (0, 100, None), (0, 10, 5), (0, 10, None),
@@ -348,6 +383,96 @@ def test_pooled_paths_never_import_the_pool():
         "print(len(forks), sorted(pool & set(sys.modules)))\n"
     )
     assert fresh_interpreter(code) == "2 []"
+
+
+# The four library modules behind the subcommands, which a start loads only
+# when its subcommand runs them
+LIBRARY = ("process", "typicality", "cover", "montecarlo")
+
+
+def loaded_library(code: str) -> str:
+    """`code` in a fresh interpreter, then the LIBRARY modules it loaded."""
+    return fresh_interpreter(
+        code
+        + "\nimport sys\n"
+        + f"print(sorted(m for m in {LIBRARY!r} if 'greedycover.' + m in sys.modules))\n"
+    )
+
+
+def test_package_import_loads_no_library_module():
+    code = (
+        "import sys\n"
+        "import greedycover, greedycover.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('greedycover')))\n"
+    )
+    assert fresh_interpreter(code) == str(
+        ["greedycover", "greedycover.cli", "greedycover.graph", "greedycover.params",
+         "greedycover.rng"]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["gen", "--n", "20", "--p", "0.2"], []),
+        (["bounds", "--n", "1000", "--p", "0.05"], []),
+        (["run", "--n", "60", "--p", "0.2"], ["process"]),
+        (["typical", "--n", "60", "--p", "0.2", "--budget", "2"],
+         ["process", "typicality"]),
+        (COVER + ["adaptive"], ["cover", "process"]),
+        (BIPARTITE, ["montecarlo", "process"]),
+    ],
+    ids=["gen", "bounds", "run", "typical", "cover", "estimate"],
+)
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    code = (
+        "import contextlib, io\n"
+        "from greedycover.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert loaded_library(code) == str(modules)
+
+
+def test_every_export_resolves_to_its_home_object():
+    code = (
+        "import importlib, greedycover\n"
+        "names = {}\n"
+        "exec('from greedycover import *', names)\n"
+        "assert set(greedycover.__all__) <= set(names) <= set(dir(greedycover))\n"
+        "for name in greedycover.__all__[:-1]:\n"
+        "    obj = getattr(greedycover, name)\n"
+        "    assert names[name] is obj, name\n"
+        "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
+        "print(greedycover.__all__[-1], len(names) - 1)\n"
+    )
+    assert fresh_interpreter(code) == "__version__ 62"
+    assert loaded_library("import greedycover\ngreedycover.Graph") == "[]"
+
+
+def test_name_patched_on_cli_before_its_first_run_is_the_one_it_calls():
+    # the benchmark tracer patches library names on greedycover.cli before
+    # the subcommand that binds them has run
+    argv = ["typical", "--n", "60", "--p", "0.2", "--budget", "2"]
+    code = (
+        "import contextlib, dataclasses, io, json\n"
+        "import greedycover.cli as cli\n"
+        "original = cli.is_typical\n"
+        "def flipped(*args, **kwargs):\n"
+        "    report = original(*args, **kwargs)\n"
+        "    return dataclasses.replace(report, typical=not report.typical)\n"
+        "for fn in (flipped, original):\n"
+        "    cli.is_typical = fn\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        assert cli.main({argv!r}) == 0\n"
+        "    print(json.loads(out.getvalue())['typicality']['typical'])\n"
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    typical = json.loads(out.getvalue())["typicality"]["typical"]
+    assert fresh_interpreter(code).split() == [str(not typical), str(typical)]
 
 
 def fresh_interpreter(code: str) -> str:
