@@ -425,6 +425,8 @@ def _execute_gen(cfg: RunConfig) -> tuple:
 
 def _execute_run(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
+    if cfg.tracked > host.n:
+        raise _SetupError(f"--tracked {cfg.tracked} exceeds the host's n={host.n}")
     ps = _params(cfg, host.n)
     if cfg.trials == 1:
         prun = run(host, ps, cfg.seed)
@@ -506,6 +508,8 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
         note = f"estimate: bipartite ratio_exact={rep.ratio_exact}"
         return {"bipartite": rep}, note, 0
     host = _load_host(cfg)
+    if cfg.what == "chain" and max(cfg.u, cfg.v) >= host.n:
+        raise _SetupError(f"--u and --v must be vertices of the host, below n={host.n}")
     if cfg.what == "uniform":
         vs = uniform_independent_set(
             host, cfg.k, seed=cfg.seed, index=cfg.index, mode=cfg.sample_mode

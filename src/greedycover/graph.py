@@ -1,12 +1,16 @@
 """Dense bit-vector graphs and the set operations the greedy process consumes.
 
-Vertices are integers 0..n-1.  Adjacency is stored as one Python int per
-vertex, bit v of row u set iff uv is an edge; unions, complements and
-popcounts over whole neighbourhoods are then single big-int operations.  A
-packed mirror of the rows and the degree vector are cached for the numpy
-paths (codegree scans, degree bookkeeping in the process engine).  The
-mirror is one read-only buffer, rows zero-padded to whole uint64 words, that
-`packed_rows` views as bytes and `packed_words` as words.
+Vertices are integers 0..n-1.  A graph holds its adjacency in two forms and
+builds each at most once.  The int rows are one Python int per vertex, bit v
+of row u set iff uv is an edge; unions, complements and popcounts over whole
+neighbourhoods are then single big-int operations.  The packed words are one
+read-only buffer, rows zero-padded to whole uint64 words, that `packed_rows`
+views as bytes and `packed_words` as words; the numpy paths (codegree scans,
+degree bookkeeping in the process engine) read them.  `gnp_sample` builds
+the packed words only, and the int rows appear the first time a row is read;
+`from_rows`, `from_edge_list`, `complete_bipartite` and unpickling build the
+int rows, and the packed words appear the first time they are read.  The
+degree vector comes from the packed words when the graph holds them.
 
 Graphs are immutable once constructed.  Construct them through
 `gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
@@ -99,17 +103,39 @@ _SYMMETRY_BLOCK = 512
 
 
 class Graph:
-    """Immutable simple undirected graph with bit-vector adjacency rows."""
+    """Immutable simple undirected graph with bit-vector adjacency rows.
+
+    A graph is built from int rows (`rows`) or from packed words (`packed`,
+    the (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views).  The other
+    form is built from it the first time it is read: the int rows by `row`,
+    `has_edge`, `neighbors`, `==`, `hash` or a pickle, one `int.from_bytes`
+    per row; the packed words by `packed_rows` or `packed_words`.
+    """
 
     __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees", "_ids")
 
-    def __init__(self, n: int, rows: tuple[int, ...], edge_count: int):
+    def __init__(
+        self,
+        n: int,
+        rows: tuple[int, ...] | None,
+        edge_count: int,
+        packed: np.ndarray | None = None,
+    ):
         self.n = n
         self._rows = rows
         self.edge_count = edge_count
-        self._packed = None
+        self._packed = packed
         self._degrees = None
         self._ids = None
+
+    def _int_rows(self) -> tuple[int, ...]:
+        """The int rows, built from the packed words on first use."""
+        if self._rows is None:
+            packed = self._packed
+            self._rows = tuple(
+                int.from_bytes(packed[v].tobytes(), "little") for v in range(self.n)
+            )
+        return self._rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -146,19 +172,29 @@ class Graph:
 
     def row(self, v: int) -> int:
         """Neighbourhood of v as a bit-vector."""
-        return self._rows[v]
+        rows = self._rows  # the process step's hot path: one check, then a read
+        if rows is None:
+            rows = self._int_rows()
+        return rows[v]
 
     def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
+        return int(self.degree_array()[v])
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self._rows]
+        return self.degree_array().tolist()
 
     def degree_array(self) -> np.ndarray:
-        """Read-only int64 vector of the degrees, computed once per graph."""
+        """Read-only int64 vector of the degrees, computed once per graph:
+        popcounts of the packed words if the graph holds them, else of the
+        int rows."""
         if self._degrees is None:
-            self._degrees = np.array(self.degrees(), dtype=np.int64)
-            self._degrees.flags.writeable = False
+            if self._packed is None:
+                degs = np.array([r.bit_count() for r in self._rows], dtype=np.int64)
+            else:
+                words = self._packed.view(np.uint64)
+                degs = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            degs.flags.writeable = False
+            self._degrees = degs
         return self._degrees
 
     def vertex_ids(self) -> list[int]:
@@ -168,10 +204,10 @@ class Graph:
         return self._ids.copy()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self._rows[u] >> v) & 1 == 1
+        return (self.row(u) >> v) & 1 == 1
 
     def neighbors(self, v: int) -> list[int]:
-        return VertexSet(self.n, self._rows[v]).to_list()
+        return VertexSet(self.n, self.row(v)).to_list()
 
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
@@ -180,7 +216,7 @@ class Graph:
 
     def packed_words(self) -> np.ndarray:
         """Read-only (n, ceil(n/64)) uint64 matrix, built once per graph: the
-        packed rows zero-padded to whole words (`gnp_sample` hands its own)."""
+        packed rows zero-padded to whole words."""
         if self._packed is None:
             w = (self.n + 63) // 64 * 8
             buf = b"".join(r.to_bytes(w, "little") for r in self._rows)
@@ -191,20 +227,20 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._rows == other._rows
+            and self._int_rows() == other._int_rows()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._rows))
+        return hash((self.n, self._int_rows()))
 
     def __reduce__(self):
-        return (Graph, (self.n, self._rows, self.edge_count))
+        return (Graph, (self.n, self._int_rows(), self.edge_count))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-# Draws per block of `gnp_sample` (128 KB of uniforms).
+# Draws per block of `gnp_sample` (128 KB of stream words).
 _GNP_BLOCK = 1 << 14
 
 
@@ -215,7 +251,8 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     uniform t of the stream (seed, GRAPH) is below p, so the same seed gives
     the same graph however the draws are batched.  The draws are read in
     bounded blocks and each block's edges are scattered into the word-aligned
-    packed rows, which the graph keeps as its `packed_words` cache.
+    packed rows.  The graph holds only those; its int rows are built the
+    first time a row is read.
 
     Args:
         n: number of vertices (>= 0).
@@ -234,19 +271,14 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     total = n * (n - 1) // 2
     edge_count = 0
     for first in range(0, total, _GNP_BLOCK):
-        hit = np.flatnonzero(gen.random(min(_GNP_BLOCK, total - first)) < p) + first
+        hit = np.flatnonzero(gen.below(p, min(_GNP_BLOCK, total - first))) + first
         u = np.searchsorted(starts, hit, side="right") - 1
         v = hit - starts[u] + u + 1
         np.bitwise_or.at(packed, (u, v >> 3), np.left_shift(1, v & 7).astype(np.uint8))
         np.bitwise_or.at(packed, (v, u >> 3), np.left_shift(1, u & 7).astype(np.uint8))
         edge_count += hit.size
-    rows = tuple(
-        int.from_bytes(packed[v].tobytes(), "little") for v in range(n)
-    )
     packed.flags.writeable = False
-    g = Graph(n, rows, edge_count)
-    g._packed = packed
-    return g
+    return Graph(n, None, edge_count, packed)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -29,6 +29,7 @@ changed its algorithms would fail a test, not change an output.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -161,7 +162,8 @@ class Stream:
     `Generator(Philox(key))` does for the same calls and return the same
     values.  A 64-bit draw takes the next word.  A 32-bit draw (an integer
     below 2**32) takes the low half of a word and leaves its high half for
-    the next 32-bit draw, across any 64-bit draws between.
+    the next 32-bit draw, across any 64-bit draws between.  `below(p, size)`
+    reads the words of `random(size)` and returns `random(size) < p`.
     """
 
     __slots__ = ("_k0", "_k1", "_buf", "_pos", "_end", "_half")
@@ -226,6 +228,18 @@ class Stream:
         if size is None:
             return (self._word() >> 11) * 2.0**-53
         return _uniforms(self._words(size))
+
+    def below(self, p: float, size: int) -> np.ndarray:
+        """`self.random(size) < p` for p in [0, 1], compared on the words.
+
+        With u = (w >> 11) * 2**-53, u < p holds exactly when
+        w < ceil(p * 2**53) * 2**11, so no uniform is formed.
+        """
+        words = self._words(size)
+        t = math.ceil(p * 2.0**53)
+        if t == 1 << 53:
+            return np.ones(size, dtype=bool)
+        return words < np.uint64(t << 11)
 
     def integers(self, lo: int, hi: int, size: int | None = None):
         """Uniform integers in [lo, hi): an int, or `size` of them as int64.

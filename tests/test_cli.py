@@ -590,6 +590,30 @@ class TestExitCodesAndIO:
         assert main(["run", "--input", str(path), "--p", "0.5"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["n", "input"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--p", "0.1", "--trials", "2", "--tracked", "61", "--threads", "2"],
+            ["estimate", "--what", "chain", "--p", "0.2", "--i", "1", "--j", "3",
+             "--u", "60", "--v", "1", "--trials", "10"],
+            ["estimate", "--what", "chain", "--p", "0.2", "--i", "1", "--j", "3",
+             "--u", "0", "--v", "75", "--trials", "10"],
+        ],
+        ids=["tracked", "chain_u", "chain_v"],
+    )
+    def test_vertex_beyond_the_host_exit_2(self, argv, source, tmp_path, capsys):
+        # the flags are checked against the host as soon as it is loaded
+        if source == "n":
+            host = ["--n", "60", "--seed", "3"]
+        else:
+            path = tmp_path / "host.el"
+            path.write_text(to_edge_list(gnp_sample(60, 0.2, 3)))
+            host = ["--input", str(path)]
+        assert main([*argv, *host]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error" in err and "n=60" in err
+
     def test_out_file_written(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         assert main(

@@ -230,7 +230,8 @@ class TestConstructors:
 
     def test_gnp_memory_is_bounded(self):
         # the C(2000, 2) draws are read in bounded blocks; reading them at
-        # once would hold 16 MB of uniforms
+        # once would hold 16 MB of uniforms.  The peak, 1.33 MB, is one
+        # block's Philox evaluation beside the 512 KB of packed words.
         tracemalloc.start()
         try:
             g = gnp_sample(2000, 0.05, 3)
@@ -238,7 +239,18 @@ class TestConstructors:
         finally:
             tracemalloc.stop()
         assert g.n == 2000 and g.edge_count > 0
-        assert peak <= 1.5e6
+        assert peak <= 1.46e6
+
+    def test_gnp_host_holds_only_its_packed_words(self):
+        # no int rows until a row is read: 516 KB kept where the rows doubled it
+        tracemalloc.start()
+        try:
+            g = gnp_sample(2000, 0.05, 3)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.packed_words().nbytes == 2000 * 32 * 8
+        assert kept <= 1.02 * g.packed_words().nbytes
 
     def test_gnp_p_validation(self):
         with pytest.raises(ValueError):
@@ -375,6 +387,28 @@ class TestOperators:
             assert non_edge_count(g) == len(list(non_edges(g)))
 
 
+def gnp_rows(n: int) -> list[int]:
+    g = gnp_sample(n, 0.3, n)
+    return [g.row(v) for v in range(n)]
+
+
+# every constructor, gnp_sample's packed words and the others' int rows
+LAYOUT_SIZES = [0, 1, 63, 64, 65, 130]
+MAKERS = [
+    lambda n: gnp_sample(n, 0.3, n),
+    lambda n: Graph.from_rows(gnp_rows(n)),
+    lambda n: complete_bipartite(n // 3, n - n // 3),
+    lambda n: from_edge_list(to_edge_list(gnp_sample(n, 0.3, n))),
+    lambda n: pickle.loads(pickle.dumps(gnp_sample(n, 0.3, n))),
+]
+MAKER_IDS = ["gnp_sample", "from_rows", "complete_bipartite", "edge_list", "unpickled"]
+
+
+def holds_rows(g: Graph) -> bool:
+    """Whether g has built its int rows."""
+    return g._rows is not None
+
+
 class TestPackedRows:
     def test_packed_matches_rows(self):
         g = gnp_sample(37, 0.3, 17)
@@ -383,18 +417,8 @@ class TestPackedRows:
         for v in range(g.n):
             assert int.from_bytes(packed[v].tobytes(), "little") == g.row(v)
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda n: gnp_sample(n, 0.3, n),
-            lambda n: Graph.from_rows(gnp_sample(n, 0.3, n)._rows),
-            lambda n: complete_bipartite(n // 3, n - n // 3),
-            lambda n: from_edge_list(to_edge_list(gnp_sample(n, 0.3, n))),
-            lambda n: pickle.loads(pickle.dumps(gnp_sample(n, 0.3, n))),
-        ],
-        ids=["gnp_sample", "from_rows", "complete_bipartite", "edge_list", "unpickled"],
-    )
+    @pytest.mark.parametrize("n", LAYOUT_SIZES)
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
     def test_word_aligned_layout(self, make, n):
         g = make(n)
         rows, words = g.packed_rows(), g.packed_words()
@@ -415,6 +439,59 @@ class TestPackedRows:
         assert frag.mode == "exhaustive" and frag.pairs_tested == len(codeg)
         assert frag.violations == [c for c in codeg if c[2] > 0.01 * ps.delta2]
         assert frag.max_codegree == max(c for _, _, c in codeg)
+
+    @pytest.mark.parametrize("n", LAYOUT_SIZES)
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_rows_and_words_read_the_same(self, make, n):
+        # every read, on fresh graphs that read the rows, the words or the
+        # degrees first
+        def rows(g):
+            return [g.row(v) for v in range(n)]
+
+        def words(g):
+            return g.packed_words().tobytes()
+
+        def degrees(g):
+            return g.degrees(), g.degree_array().tolist(), [g.degree(v) for v in range(n)]
+
+        def edges(g):
+            return [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
+
+        def neighbors(g):
+            return [g.neighbors(v) for v in range(n)]
+
+        reads = {"rows": rows, "words": words, "degrees": degrees}
+        seen = []
+        for first in reads:
+            g = make(n)
+            got = {first: reads[first](g)}
+            got.update((name, read(g)) for name, read in reads.items() if name != first)
+            got.update(edges=edges(g), neighbors=neighbors(g), hash=hash(g),
+                       pickle=pickle.dumps(g))
+            seen.append((g, got))
+        (g, want), *others = seen
+        for h, got in others:
+            assert got == want and h == g
+        width = (n + 63) // 64 * 8
+        assert want["words"] == b"".join(r.to_bytes(width, "little") for r in want["rows"])
+        assert want["degrees"] == ([r.bit_count() for r in want["rows"]],) * 3
+        assert want["edges"] == [[(r >> v) & 1 == 1 for v in range(n)] for r in want["rows"]]
+        assert want["neighbors"] == [list(bits(r)) for r in want["rows"]]
+        # the same graph built from int rows equals it, hash and pickle included
+        twin = Graph.from_rows(want["rows"])
+        assert twin == g and hash(twin) == want["hash"]
+        assert pickle.dumps(twin) == want["pickle"]
+
+    @pytest.mark.parametrize("n", [1, 65])
+    def test_gnp_host_builds_rows_only_when_one_is_read(self, n):
+        g = gnp_sample(n, 0.3, 1)
+        g.packed_rows(), g.degrees(), g.degree_array(), g.degree(0)
+        assert not holds_rows(g)
+        row = g.row(0)
+        assert holds_rows(g)
+        h = gnp_sample(n, 0.3, 1)
+        assert h.has_edge(0, 0) is False and holds_rows(h)
+        assert h.row(0) == row
 
     def test_degree_sum_matches_edge_count(self):
         g = gnp_sample(64, 0.5, 9)

@@ -450,6 +450,18 @@ class TestEnsemble:
         two = ensemble_run(host, ps, 70, seed=3, tracked=(1, 2), threads=2)
         assert plain(one) == plain(two)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no pool without os.fork")
+    def test_pooled_ensemble_leaves_the_parent_host_packed(self, forks):
+        # only the forked workers read rows, so each builds its own and the
+        # parent keeps the packed words alone
+        host = gnp_sample(60, 0.2, seed=6)
+        ps = ParamSet(60, 0.2)
+        two = ensemble_run(host, ps, 70, seed=3, tracked=(1, 2), threads=2)
+        assert len(forks) == 2
+        assert host._rows is None
+        one = ensemble_run(gnp_sample(60, 0.2, seed=6), ps, 70, seed=3, tracked=(1, 2))
+        assert plain(one) == plain(two)
+
     def test_drift_pooling(self):
         host = gnp_sample(50, 0.2, seed=6)
         ps = ParamSet(50, 0.2)

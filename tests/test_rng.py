@@ -215,6 +215,34 @@ class TestStreamReader:
             assert ours.integers(0, 10) == int(ref.integers(0, 10))
         assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize(
+        "size", [0, 1, 5, 4 * rng._STREAM_BLOCK - 1, 4 * rng._STREAM_BLOCK,
+                 4 * rng._STREAM_BLOCK + 1, 8 * rng._STREAM_BLOCK + 3]
+    )
+    @pytest.mark.parametrize(
+        "p", [0.0, 2.0**-53, 0.05, float(np.nextafter(0.05, 1)), 0.5, 1 - 2.0**-53, 1.0]
+    )
+    def test_below_is_random_below_p(self, p, size):
+        # a scalar draw first leaves the bulk read off a kernel block's start
+        ours, ref = reader_pair(domain=rng.GRAPH, index=size)
+        twin = rng.stream(2**63 + 5, rng.GRAPH, size)
+        assert ours.random() == ref.random() == twin.random()
+        got = ours.below(p, size)
+        assert got.dtype == np.bool_ and got.shape == (size,)
+        np.testing.assert_array_equal(got, ref.random(size) < p)
+        np.testing.assert_array_equal(got, twin.random(size) < p)
+        # the stream stands where `random(size)` leaves it
+        assert ours.random() == ref.random()
+        np.testing.assert_array_equal(ours.random(7), ref.random(7))
+
+    def test_below_at_a_drawn_uniform(self):
+        # p equal to a draw, and one ulp either side, decide that draw exactly
+        u = numpy_stream(4, rng.GRAPH).random(100)
+        for p in (u[37], np.nextafter(u[37], 0), np.nextafter(u[37], 1)):
+            got = rng.stream(4, rng.GRAPH).below(float(p), 100)
+            np.testing.assert_array_equal(got, u < p)
+            assert got[37] == (p > u[37])
+
     def test_vector_integers_hold_little_beside_the_result(self):
         # check_p3's sampled mode at n = 20001 draws 2M pair ends at once
         ours = rng.stream(3, rng.P3_SAMPLE)
