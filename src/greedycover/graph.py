@@ -1,16 +1,15 @@
 """Dense bit-vector graphs and the set operations the greedy process consumes.
 
-Vertices are integers 0..n-1.  A graph holds its adjacency in two forms and
-builds each at most once.  The int rows are one Python int per vertex, bit v
-of row u set iff uv is an edge; unions, complements and popcounts over whole
-neighbourhoods are then single big-int operations.  The packed words are one
-read-only buffer, rows zero-padded to whole uint64 words, that `packed_rows`
-views as bytes and `packed_words` as words; the numpy paths (codegree scans,
-degree bookkeeping in the process engine) read them.  `gnp_sample` builds
-the packed words only, and the int rows appear the first time a row is read;
-`from_rows`, `from_edge_list`, `complete_bipartite` and unpickling build the
-int rows, and the packed words appear the first time they are read.  The
-degree vector comes from the packed words when the graph holds them.
+Vertices are integers 0..n-1.  Every graph holds its adjacency in one form,
+the packed words: one read-only buffer, rows zero-padded to whole uint64
+words, that `packed_rows` views as bytes and `packed_words` as words.
+`gnp_sample` scatters its edges into them; `from_rows`, `from_edge_list`,
+`complete_bipartite` and unpickling pack their int rows once.  Degrees,
+equality, hashing, pickling, N^c(S) and the numpy paths (codegree scans,
+degree bookkeeping in the process engine) read the words.  The int rows,
+one Python int per vertex with bit v of row u set iff uv is an edge, are a
+per-row cache: `row(v)` builds row v the first time it is read, and the
+big-int set operations of the process step run on it.
 
 Graphs are immutable once constructed.  Construct them through
 `gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
@@ -20,6 +19,7 @@ which validates rows given by the caller (bit range, self-loops, symmetry).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,6 +88,7 @@ class VertexSet:
         return list(self)
 
     def __contains__(self, v: int) -> bool:
+        v = index(v)  # a big int shifted by a numpy integer overflows a C long
         return 0 <= v < self.n and (self.members >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
@@ -105,11 +106,12 @@ _SYMMETRY_BLOCK = 512
 class Graph:
     """Immutable simple undirected graph with bit-vector adjacency rows.
 
-    A graph is built from int rows (`rows`) or from packed words (`packed`,
-    the (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views).  The other
-    form is built from it the first time it is read: the int rows by `row`,
-    `has_edge`, `neighbors`, `==`, `hash` or a pickle, one `int.from_bytes`
-    per row; the packed words by `packed_rows` or `packed_words`.
+    Every graph holds one form, the packed words (`packed`, the
+    (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views): `gnp_sample`
+    scatters into them, and a graph given int rows (`rows`) packs them once
+    here.  `==`, `hash`, pickles and degrees read the words.  The int rows
+    are a per-row cache: `row(v)` builds row v from its words on first read,
+    so a caller that reads a few rows holds only those.
     """
 
     __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees", "_ids")
@@ -117,25 +119,20 @@ class Graph:
     def __init__(
         self,
         n: int,
-        rows: tuple[int, ...] | None,
+        rows: Iterable[int] | None,
         edge_count: int,
         packed: np.ndarray | None = None,
     ):
+        if packed is None:
+            w = (n + 63) // 64 * 8
+            buf = b"".join(r.to_bytes(w, "little") for r in rows)
+            packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, w)
         self.n = n
-        self._rows = rows
+        self._rows = None  # the row cache, allocated on the first row read
         self.edge_count = edge_count
         self._packed = packed
         self._degrees = None
         self._ids = None
-
-    def _int_rows(self) -> tuple[int, ...]:
-        """The int rows, built from the packed words on first use."""
-        if self._rows is None:
-            packed = self._packed
-            self._rows = tuple(
-                int.from_bytes(packed[v].tobytes(), "little") for v in range(self.n)
-            )
-        return self._rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -171,11 +168,14 @@ class Graph:
         return (1 << self.n) - 1
 
     def row(self, v: int) -> int:
-        """Neighbourhood of v as a bit-vector."""
-        rows = self._rows  # the process step's hot path: one check, then a read
+        """Neighbourhood of v as a bit-vector, built from its words on first read."""
+        rows = self._rows  # the process step's hot path: two checks, then a read
         if rows is None:
-            rows = self._int_rows()
-        return rows[v]
+            rows = self._rows = [None] * self.n
+        r = rows[v]
+        if r is None:
+            r = rows[v] = int.from_bytes(self._packed[v].tobytes(), "little")
+        return r
 
     def degree(self, v: int) -> int:
         return int(self.degree_array()[v])
@@ -184,15 +184,10 @@ class Graph:
         return self.degree_array().tolist()
 
     def degree_array(self) -> np.ndarray:
-        """Read-only int64 vector of the degrees, computed once per graph:
-        popcounts of the packed words if the graph holds them, else of the
-        int rows."""
+        """Read-only int64 vector of the degrees, popcounts of the packed
+        words computed once per graph."""
         if self._degrees is None:
-            if self._packed is None:
-                degs = np.array([r.bit_count() for r in self._rows], dtype=np.int64)
-            else:
-                words = self._packed.view(np.uint64)
-                degs = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            degs = np.bitwise_count(self.packed_words()).sum(axis=1, dtype=np.int64)
             degs.flags.writeable = False
             self._degrees = degs
         return self._degrees
@@ -204,7 +199,8 @@ class Graph:
         return self._ids.copy()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self.row(u) >> v) & 1 == 1
+        # index(v): a big int shifted by a numpy integer overflows a C long
+        return (self.row(u) >> index(v)) & 1 == 1
 
     def neighbors(self, v: int) -> list[int]:
         return VertexSet(self.n, self.row(v)).to_list()
@@ -212,29 +208,28 @@ class Graph:
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
         order) = adjacency."""
-        return self.packed_words().view(np.uint8)[:, : (self.n + 7) // 8]
+        return self._packed[:, : (self.n + 7) // 8]
 
     def packed_words(self) -> np.ndarray:
-        """Read-only (n, ceil(n/64)) uint64 matrix, built once per graph: the
-        packed rows zero-padded to whole words."""
-        if self._packed is None:
-            w = (self.n + 63) // 64 * 8
-            buf = b"".join(r.to_bytes(w, "little") for r in self._rows)
-            self._packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, w)
+        """Read-only (n, ceil(n/64)) uint64 matrix: the packed rows
+        zero-padded to whole words."""
         return self._packed.view(np.uint64)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._int_rows() == other._int_rows()
+            and np.array_equal(self._packed, other._packed)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._int_rows()))
+        return hash((self.n, self._packed.tobytes()))
 
     def __reduce__(self):
-        return (Graph, (self.n, self._int_rows(), self.edge_count))
+        # pickled as the int rows Graph(n, rows, m) packs, made from the words
+        # for this pickle alone: the row cache is left as it is
+        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in self._packed)
+        return (Graph, (self.n, rows, self.edge_count))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -366,10 +361,9 @@ def common_non_neighbourhood(g: Graph, s: VertexSet) -> VertexSet:
     """
     if s.n != g.n:
         raise ValueError("vertex set is for a different n")
-    mask = g.full_mask & ~s.members
-    for v in bits(s.members):
-        mask &= ~g.row(v)
-    return VertexSet(g.n, mask)
+    # the OR of S's packed rows, read as one int; no int row is built
+    union = np.bitwise_or.reduce(g.packed_words()[list(bits(s.members))], axis=0)
+    return VertexSet(g.n, g.full_mask & ~s.members & ~int.from_bytes(union, "little"))
 
 
 def codegree(g: Graph, u: int, v: int) -> int:

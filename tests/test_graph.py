@@ -72,6 +72,15 @@ class TestVertexSet:
         assert s.to_list() == [0, 3, 9]
         assert VertexSet.from_iterable(10, s.to_list()) == s
 
+    def test_numpy_vertex_ids(self):
+        # a numpy integer v >= 64 must not be shifted into a big int as a C long
+        s = VertexSet.from_iterable(200, [3, 64, 150, 199])
+        for t in (np.int64, np.int32, np.uint16):
+            assert all(t(v) in s for v in (3, 64, 150, 199))
+            assert t(65) not in s and t(200) not in s
+        assert np.int64(150) in VertexSet.full(200)
+        assert np.int64(-1) not in VertexSet.full(200)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             VertexSet(4, 1 << 4)
@@ -146,6 +155,15 @@ class TestConstructors:
             assert g.neighbors(v) == [0, 1, 2]
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 3)
+
+    def test_has_edge_takes_numpy_vertex_ids(self):
+        g = gnp_sample(200, 0.1, 1)
+        adj = neighbor_sets(g)
+        edges = [(u, max(adj[u])) for u in (3, 64, 150)]
+        assert all(v >= 64 for _, v in edges)
+        for u, v in [(3, 150), (150, 3), (64, 65), (0, 199), (199, 64)] + edges:
+            for t in (np.int64, np.int32):
+                assert g.has_edge(t(u), t(v)) == (v in adj[u])
 
     def test_from_rows_validation(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -409,6 +427,19 @@ def holds_rows(g: Graph) -> bool:
     return g._rows is not None
 
 
+def built_rows(g: Graph) -> list[int]:
+    """The vertices whose int rows g has built, ascending."""
+    return [v for v, r in enumerate(g._rows or ()) if r is not None]
+
+
+def cnn_fold(g: Graph, s: VertexSet) -> VertexSet:
+    """N^c(S) folded over the int rows of S: the oracle of the word-level OR."""
+    mask = g.full_mask & ~s.members
+    for v in bits(s.members):
+        mask &= ~g.row(v)
+    return VertexSet(g.n, mask)
+
+
 class TestPackedRows:
     def test_packed_matches_rows(self):
         g = gnp_sample(37, 0.3, 17)
@@ -488,10 +519,38 @@ class TestPackedRows:
         g.packed_rows(), g.degrees(), g.degree_array(), g.degree(0)
         assert not holds_rows(g)
         row = g.row(0)
-        assert holds_rows(g)
+        assert holds_rows(g) and built_rows(g) == [0] and g.row(0) is row
         h = gnp_sample(n, 0.3, 1)
         assert h.has_edge(0, 0) is False and holds_rows(h)
         assert h.row(0) == row
+        h.neighbors(n - 1)
+        assert built_rows(h) == sorted({0, n - 1})
+
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_whole_graph_reads_build_no_rows(self, make):
+        g, h = make(130), make(130)
+        assert g == h and hash(g) == hash(h)
+        assert pickle.loads(pickle.dumps(g)) == h
+        g.degree_array(), g.degrees(), g.degree(5), g.packed_rows(), g.packed_words()
+        common_non_neighbourhood(g, VertexSet.from_iterable(130, [0, 64, 129]))
+        assert not holds_rows(g) and not holds_rows(h)
+
+    @pytest.mark.parametrize("n", LAYOUT_SIZES)
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_common_non_neighbourhood_against_row_fold(self, make, n):
+        g, oracle = make(n), make(n)
+        rng = np.random.Generator(np.random.Philox(key=n))
+        masks = [0, (1 << n) - 1]
+        if n:
+            masks.append(1 << int(rng.integers(n)))
+            masks += [
+                sum(1 << int(v) for v in np.flatnonzero(rng.random(n) < q))
+                for q in (0.02, 0.1, 0.5, 0.9)
+            ]
+        for members in masks:
+            s = VertexSet(n, members)
+            assert common_non_neighbourhood(g, s) == cnn_fold(oracle, s)
+        assert not holds_rows(g)
 
     def test_degree_sum_matches_edge_count(self):
         g = gnp_sample(64, 0.5, 9)

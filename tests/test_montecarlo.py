@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -143,6 +144,19 @@ class TestMembership:
         a = estimate_membership(host, ps, trials=4_097, seed=5, threads=1)
         b = estimate_membership(host, ps, trials=4_097, seed=5, threads=2)
         assert a == b
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no pool without os.fork")
+    def test_pooled_run_leaves_the_parent_only_the_tested_rows(self):
+        # past one chunk the forked workers run every trial, so the parent
+        # reads only the rows whose edges sample_non_edges tested
+        host = gnp_sample(500, 0.05, seed=3)
+        ps = ParamSet(500, 0.05)
+        estimate_membership(host, ps, trials=mc._LIGHT_CHUNK + 1, seed=7, threads=2)
+        tested = gnp_sample(500, 0.05, seed=3)
+        sample_non_edges(tested, mc.PAIR_SAMPLE_DEFAULT, 7)
+        built = [v for v, r in enumerate(host._rows) if r is not None]
+        assert built == [v for v, r in enumerate(tested._rows) if r is not None]
+        assert 0 < len(built) < host.n
 
     def test_validation(self):
         host = empty_graph(20)

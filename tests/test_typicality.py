@@ -382,6 +382,23 @@ class TestIsTypical:
         assert d["typical"] is True
         assert set(d) == {"p1", "p2", "p3", "typical", "e_table", "strict_factor"}
 
+    def test_builds_int_rows_only_for_the_greedy_picks(self):
+        # P2, P3 and every N^c(S) of P1 read the packed words; only P1's
+        # recording runs read rows, one per picked vertex
+        g = gnp_sample(2000, 0.05, seed=0)
+        ps = ParamSet(2000, 0.05)
+        is_typical(g, ps)
+        built = {v for v, r in enumerate(g._rows) if r is not None}
+        picked = {
+            v
+            for r in range(10)
+            for v in typicality.run_with_generator(
+                gnp_sample(2000, 0.05, seed=0), ps, rng.stream(0, rng.PREFIX, r)
+            ).order
+        }
+        assert built == picked
+        assert len(built) <= 10 * ps.k
+
     def test_star_fails_via_p2(self):
         report = is_typical(star(2000), ParamSet(2000, 0.05), budget=4, seed=0)
         assert not report.typical

@@ -13,8 +13,12 @@ S = SEED_BASE + k on both sides (`--seed-base`, default 100), the parent
 first in even pairs and the change first in odd ones; T is the
 `run_seconds` of the parent's BENCHMARK.json.  Then each side runs once
 with `--seed 11 --trace 1`.  The file records each side's first `env`
-line, the line count of each file under `src/greedycover` and one round
-per seed base.  A round holds, per workload and side, the median,
+line, the commit of each tree, the line count of each file under
+`src/greedycover` and one round per seed base.  The commits are the
+`--revs PARENT CHANGE` given, or else `git rev-parse HEAD` of each tree,
+which must then be the root of a git checkout (perfbench reads `.git`
+itself, so in a copy made by `git archive` its `env.git_commit` reads
+"unknown").  A round holds, per workload and side, the median,
 quartiles (inclusive method), IQR and per-run values of the gated metrics
 and job_s.p50, the jobs attempted and failed, the pairwise comparison
 (pairs the change read lower, ties, median ratio change / parent, and
@@ -127,6 +131,16 @@ def src_lines(tree: Path) -> dict:
     return {"total": sum(files.values()), "files": files}
 
 
+def revision(tree: Path) -> str | None:
+    """HEAD of the git checkout rooted at `tree`, or None if it is not one."""
+    out = subprocess.run(["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
+                         capture_output=True, text=True)
+    lines = out.stdout.split()
+    if out.returncode or len(lines) != 2 or Path(lines[0]).resolve() != tree.resolve():
+        return None
+    return lines[1]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent commit's tree")
@@ -135,6 +149,9 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, default=SEED_BASE,
                     help="pair k runs at seed SEED_BASE + k")
+    ap.add_argument("--revs", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="the commits of the two trees (default: git rev-parse HEAD"
+                         " of each)")
     ap.add_argument("--tier1", action="store_true", help="also run tier-1 once per tree")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
@@ -144,6 +161,10 @@ def main() -> int:
     seconds = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
     metrics = ("setup_s", "peak_rss_mb", "job_s.p50")
     lines = {side: src_lines(tree) for side, tree in trees.items()}
+    revs = dict(zip(SIDES, args.revs or map(revision, trees.values())))
+    for side, rev in revs.items():
+        if rev is None:
+            ap.error(f"{trees[side]} is not a git checkout; name the commits with --revs")
 
     doc = {
         "what": "Paired perfbench runs of a change against its parent commit",
@@ -162,13 +183,15 @@ def main() -> int:
             "tier1": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors,"
                      " once per tree, run from its root",
         },
+        "revs": revs,
         "env": {},
         "src_lines": lines,
     }
     if args.out.exists():
         doc = json.loads(args.out.read_text())
-        if doc.get("src_lines") != lines:
+        if doc.get("src_lines") != lines or doc.get("revs", revs) != revs:
             ap.error(f"{args.out} holds runs of other trees")
+        doc["revs"] = revs
     if args.tier1:
         doc["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     workloads = {}
