@@ -17,7 +17,6 @@ malformed input files).
 from __future__ import annotations
 
 import argparse
-import importlib
 import io
 import json
 import math
@@ -31,45 +30,38 @@ from .params import ParamSet, bound_formulas, envelope
 
 SCHEMA_VERSION = 1
 
-# The library names each subcommand's executor reads, by home module.
-# `execute` binds them into this module before it runs the subcommand, so a
-# start loads only the modules that subcommand runs.  A name already set
-# here (a test's or a tracer's patch) is kept.
+# The library names each subcommand's executor reads.  `execute` binds them
+# into this module before it runs the subcommand, each resolved through the
+# package's export table, so a start loads only the modules that subcommand
+# runs.  A name already set here (a test's or a tracer's patch) is kept.
 _LIBRARY = {
-    "run": ("process", ("StepRecord", "ensemble_run", "run")),
-    "typical": ("typicality", ("is_typical",)),
+    "run": ("StepRecord", "ensemble_run", "run"),
+    "typical": ("is_typical",),
     "cover": (
-        "cover",
-        (
-            "build_pdim_adaptive",
-            "build_pdim_cover",
-            "build_theta1_adaptive",
-            "build_theta1_cover",
-            "verify_cover",
-        ),
+        "build_pdim_adaptive",
+        "build_pdim_cover",
+        "build_theta1_adaptive",
+        "build_theta1_cover",
+        "verify_cover",
     ),
     "estimate": (
-        "montecarlo",
-        (
-            "bipartite_comparison",
-            "estimate_conditional_chain",
-            "estimate_membership",
-            "uniform_independent_set",
-        ),
+        "bipartite_comparison",
+        "estimate_conditional_chain",
+        "estimate_membership",
+        "uniform_independent_set",
     ),
 }
-_HOME = {name: home for home, names in _LIBRARY.values() for name in names}
 
 
 def __getattr__(name: str):
     """A library name read before its subcommand first runs."""
-    if name not in _HOME:
+    if not any(name in names for names in _LIBRARY.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{_HOME[name]}"), name)
+    return getattr(sys.modules[__package__], name)
 
 
 def _bind(sub: str) -> None:
-    for name in _LIBRARY.get(sub, ("", ()))[1]:
+    for name in _LIBRARY.get(sub, ()):
         globals().setdefault(name, __getattr__(name))
 
 

@@ -3,11 +3,12 @@
 Vertices are integers 0..n-1.  Every graph holds its adjacency in one form,
 the packed words: one read-only buffer, rows zero-padded to whole uint64
 words, that `packed_rows` views as bytes and `packed_words` as words.
-`gnp_sample` scatters its edges into them; `from_rows`, `from_edge_list`,
-`complete_bipartite` and unpickling pack their int rows once.  Degrees,
-equality, hashing, pickling, N^c(S) and the numpy paths (codegree scans,
-degree bookkeeping in the process engine) read the words.  The int rows,
-one Python int per vertex with bit v of row u set iff uv is an edge, are a
+`gnp_sample` scatters its edges into them, and `Graph.from_rows` is the one
+place that packs int rows (`from_edge_list` and `complete_bipartite` go
+through it).  Degrees, equality, hashing, pickles (which send the words),
+`has_edge` (one byte), N^c(S) and the numpy paths (codegree scans, degree
+bookkeeping in the process engine) read the words.  The int rows, one
+Python int per vertex with bit v of row u set iff uv is an edge, are a
 per-row cache: `row(v)` builds row v the first time it is read, and the
 big-int set operations of the process step run on it.
 
@@ -107,26 +108,18 @@ class Graph:
     """Immutable simple undirected graph with bit-vector adjacency rows.
 
     Every graph holds one form, the packed words (`packed`, the
-    (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views): `gnp_sample`
-    scatters into them, and a graph given int rows (`rows`) packs them once
-    here.  `==`, `hash`, pickles and degrees read the words.  The int rows
-    are a per-row cache: `row(v)` builds row v from its words on first read,
-    so a caller that reads a few rows holds only those.
+    (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views), which the
+    constructor marks read-only: `gnp_sample` scatters into them and
+    `from_rows` packs int rows into them.  `==`, `hash`, pickles, degrees
+    and `has_edge` read the words.  The int rows are a per-row cache:
+    `row(v)` builds row v from its words on first read, so a caller that
+    reads a few rows holds only those.
     """
 
     __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees", "_ids")
 
-    def __init__(
-        self,
-        n: int,
-        rows: Iterable[int] | None,
-        edge_count: int,
-        packed: np.ndarray | None = None,
-    ):
-        if packed is None:
-            w = (n + 63) // 64 * 8
-            buf = b"".join(r.to_bytes(w, "little") for r in rows)
-            packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, w)
+    def __init__(self, n: int, packed: np.ndarray, edge_count: int):
+        packed.flags.writeable = False
         self.n = n
         self._rows = None  # the row cache, allocated on the first row read
         self.edge_count = edge_count
@@ -151,7 +144,9 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             total += row.bit_count()
-        g = cls(n, rows, total // 2)
+        w = (n + 63) // 64 * 8
+        buf = b"".join(r.to_bytes(w, "little") for r in rows)
+        g = cls(n, np.frombuffer(buf, dtype=np.uint8).reshape(n, w), total // 2)
         packed = g.packed_rows()
         for a in range(0, n, _SYMMETRY_BLOCK):
             b = min(a + _SYMMETRY_BLOCK, n)
@@ -167,8 +162,17 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def _vertex(self, v: int) -> int:
+        v = index(v)  # a numpy integer id becomes a Python int
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
+        return v
+
     def row(self, v: int) -> int:
-        """Neighbourhood of v as a bit-vector, built from its words on first read."""
+        """Neighbourhood of v as a bit-vector, built from its words on first read.
+
+        v is not range-checked: this is the greedy step's per-step read.
+        """
         rows = self._rows  # the process step's hot path: two checks, then a read
         if rows is None:
             rows = self._rows = [None] * self.n
@@ -178,7 +182,7 @@ class Graph:
         return r
 
     def degree(self, v: int) -> int:
-        return int(self.degree_array()[v])
+        return int(self.degree_array()[self._vertex(v)])
 
     def degrees(self) -> list[int]:
         return self.degree_array().tolist()
@@ -199,11 +203,12 @@ class Graph:
         return self._ids.copy()
 
     def has_edge(self, u: int, v: int) -> bool:
-        # index(v): a big int shifted by a numpy integer overflows a C long
-        return (self.row(u) >> index(v)) & 1 == 1
+        """Bit v & 7 of byte v >> 3 of u's packed row; no int row is built."""
+        u, v = self._vertex(u), self._vertex(v)
+        return (int(self._packed[u, v >> 3]) >> (v & 7)) & 1 == 1
 
     def neighbors(self, v: int) -> list[int]:
-        return VertexSet(self.n, self.row(v)).to_list()
+        return VertexSet(self.n, self.row(self._vertex(v))).to_list()
 
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
@@ -226,10 +231,7 @@ class Graph:
         return hash((self.n, self._packed.tobytes()))
 
     def __reduce__(self):
-        # pickled as the int rows Graph(n, rows, m) packs, made from the words
-        # for this pickle alone: the row cache is left as it is
-        rows = tuple(int.from_bytes(r.tobytes(), "little") for r in self._packed)
-        return (Graph, (self.n, rows, self.edge_count))
+        return (Graph, (self.n, self._packed, self.edge_count))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -272,8 +274,7 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         np.bitwise_or.at(packed, (u, v >> 3), np.left_shift(1, v & 7).astype(np.uint8))
         np.bitwise_or.at(packed, (v, u >> 3), np.left_shift(1, u & 7).astype(np.uint8))
         edge_count += hit.size
-    packed.flags.writeable = False
-    return Graph(n, None, edge_count, packed)
+    return Graph(n, packed, edge_count)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -283,8 +284,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     n = a + b
     mask_a = (1 << a) - 1
     mask_b = ((1 << b) - 1) << a
-    rows = tuple(mask_b if v < a else mask_a for v in range(n))
-    return Graph(n, rows, a * b)
+    return Graph.from_rows(mask_b if v < a else mask_a for v in range(n))
 
 
 class EdgeListError(ValueError):
@@ -343,7 +343,7 @@ def from_edge_list(text: str) -> Graph:
         seen += 1
     if seen != m:
         raise EdgeListError(lineno, f"header promised m={m} edges, found {seen}")
-    return Graph(n, tuple(rows), m)
+    return Graph.from_rows(rows)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -368,7 +368,7 @@ def common_non_neighbourhood(g: Graph, s: VertexSet) -> VertexSet:
 
 def codegree(g: Graph, u: int, v: int) -> int:
     """|N(u) ∩ N(v)| for distinct vertices u, v."""
-    if u == v:
+    if g._vertex(u) == g._vertex(v):
         raise ValueError("codegree needs two distinct vertices")
     return (g.row(u) & g.row(v)).bit_count()
 

@@ -98,8 +98,7 @@ def _membership_chunk(
         mask = sample_independent_set(host, k, row)
         bits = mask_bits(mask, n)
         vcount += bits
-        if len(us):
-            pcount += bits[us] & bits[vs]
+        pcount += bits[us] & bits[vs]
         sizes += mask.bit_count()
     return vcount, pcount, sizes
 
@@ -203,13 +202,13 @@ def _chain_holds(t: int, w: int, pos: list[int], i: int, j: int, u: int, v: int)
 
 
 def _chain_trial(
-    host: Graph, rails: list | None, draws: np.ndarray, i: int, j: int, u: int, v: int
+    host: Graph, rails: list, draws: np.ndarray, i: int, j: int, u: int, v: int
 ) -> int:
     """Steps survived by the chain in one trial (0..j).
 
     rails[t-1] is (the step-t envelope point, the mask of vertices it can
-    cut); with rails given, a step also fails when one of those vertices is
-    active with its induced degree outside [lower, upper].
+    cut); a step also fails when one of those vertices is active with its
+    induced degree outside [lower, upper].
     """
     active = host.full_mask
     ids, pos = host.vertex_ids(), host.vertex_ids()
@@ -220,18 +219,17 @@ def _chain_trial(
         active &= ~removed
         if not _chain_holds(t, w, pos, i, j, u, v):
             return t - 1
-        if rails is not None:
-            e, watch = rails[t - 1]
-            if not all(
-                e.lower <= (host.row(x) & active).bit_count() <= e.upper
-                for x in bits(watch & active)
-            ):
-                return t - 1
+        e, watch = rails[t - 1]
+        if not all(
+            e.lower <= (host.row(x) & active).bit_count() <= e.upper
+            for x in bits(watch & active)
+        ):
+            return t - 1
     return j
 
 
 def _chain_chunk(
-    host: Graph, rails: list | None, i: int, j: int, u: int, v: int, seed: int,
+    host: Graph, rails: list, i: int, j: int, u: int, v: int, seed: int,
     start: int, stop: int,
 ) -> np.ndarray:
     """survived[t] = trials of the chunk whose chain held through step t >= 1."""
@@ -262,7 +260,7 @@ def estimate_conditional_chain(
     envelope violation through t.  Each trial walks at most j greedy steps
     and stops at the first one that exhausts the process, breaks the chain
     or leaves the envelope.  `path` is "light" when no rail of steps 1..j
-    can bind on this host, so trials skip the degree check.  Trial t reads
+    can bind on this host, so every watch mask is empty.  Trial t reads
     only the first j draws of stream (seed, CHAIN, t).  Per-chunk counts
     are summed, so results are identical for any thread count.
     """
@@ -278,7 +276,7 @@ def estimate_conditional_chain(
 
     # an induced degree lies in [0, host degree], so a rail can cut only the
     # vertices above it in the host, or all of them once lower > 0; when it
-    # can cut none at any step, the walk skips the check ("light")
+    # can cut none at any step, the path is "light"
     degrees = host.degrees()
     rails = []
     for t in range(1, j + 1):
@@ -286,7 +284,7 @@ def estimate_conditional_chain(
         cut = (x for x, d in enumerate(degrees) if e.lower > 0 or d > e.upper)
         rails.append((e, sum(1 << x for x in cut)))
     light = not any(watch for _, watch in rails)
-    args = (host, None if light else rails, i, j, u, v, seed)
+    args = (host, rails, i, j, u, v, seed)
     survived = sum(chunked_map(_chain_chunk, args, trials, _CHAIN_CHUNK, threads))
     survived[0] = trials
 

@@ -71,7 +71,6 @@ class ProcessState:
         "pos",
         "degrees",
         "chosen_list",
-        "chosen_mask",
         "sigma_raw",
         "_act_words",
     )
@@ -85,7 +84,6 @@ class ProcessState:
         self.ids, self.pos = host.vertex_ids(), host.vertex_ids()
         self.degrees = host.degree_array().copy()
         self.chosen_list: list[int] = []
-        self.chosen_mask = 0
         self.sigma_raw = np.zeros(n, dtype=np.int64)  # step v left active; 0 = still in
         self._act_words = max((n + 7) // 8, 1)
 
@@ -145,7 +143,6 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
     i = state.step + 1
     state.active_mask &= ~rm_mask
     state.chosen_list.append(v)
-    state.chosen_mask |= 1 << v
     state.step = i
     # as indices: gathering packed rows by index is cheaper than by boolean mask
     removed = np.flatnonzero(mask_bits(rm_mask, host.n))
@@ -228,7 +225,7 @@ def run_draws(
         params=ps,
         seed=seed,
         index=index,
-        chosen=VertexSet(host.n, state.chosen_mask),
+        chosen=VertexSet.from_iterable(host.n, state.chosen_list),
         order=tuple(state.chosen_list),
         records=records,
         tau=tau,

@@ -521,7 +521,9 @@ class TestPackedRows:
         row = g.row(0)
         assert holds_rows(g) and built_rows(g) == [0] and g.row(0) is row
         h = gnp_sample(n, 0.3, 1)
-        assert h.has_edge(0, 0) is False and holds_rows(h)
+        assert h.has_edge(0, 0) is False
+        assert h.has_edge(n - 1, 0) is (row >> (n - 1) & 1 == 1)
+        assert not holds_rows(h)  # has_edge reads one byte of the words
         assert h.row(0) == row
         h.neighbors(n - 1)
         assert built_rows(h) == sorted({0, n - 1})
@@ -530,10 +532,31 @@ class TestPackedRows:
     def test_whole_graph_reads_build_no_rows(self, make):
         g, h = make(130), make(130)
         assert g == h and hash(g) == hash(h)
-        assert pickle.loads(pickle.dumps(g)) == h
+        back = pickle.loads(pickle.dumps(g))
+        assert back == h and not back.packed_words().flags.writeable
         g.degree_array(), g.degrees(), g.degree(5), g.packed_rows(), g.packed_words()
+        g.has_edge(0, 129), g.has_edge(129, 64)
         common_non_neighbourhood(g, VertexSet.from_iterable(130, [0, 64, 129]))
-        assert not holds_rows(g) and not holds_rows(h)
+        assert not holds_rows(g) and not holds_rows(h) and not holds_rows(back)
+
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_vertex_ids_outside_the_host_raise(self, make):
+        # unchecked, a negative id reads vertex n + v and has_edge(0, n) a pad bit
+        g = make(10)
+        for bad in (-1, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                g.has_edge(bad, 2)
+            with pytest.raises(ValueError, match="out of range"):
+                g.has_edge(0, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                g.neighbors(bad)
+            with pytest.raises(ValueError, match="out of range"):
+                g.degree(bad)
+            with pytest.raises(ValueError, match="out of range"):
+                codegree(g, bad, 2)
+            with pytest.raises(ValueError, match="out of range"):
+                codegree(g, 2, bad)
+        assert not holds_rows(g)
 
     @pytest.mark.parametrize("n", LAYOUT_SIZES)
     @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)

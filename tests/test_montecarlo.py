@@ -145,18 +145,28 @@ class TestMembership:
         b = estimate_membership(host, ps, trials=4_097, seed=5, threads=2)
         assert a == b
 
+    def test_no_pair_sample(self):
+        # empty pair index arrays count nothing and leave the vertex counts
+        host = gnp_sample(120, 0.1, seed=2)
+        ps = ParamSet(120, 0.1)
+        full = estimate_membership(host, ps, trials=4_097, seed=5)
+        for threads in (1, 2):
+            rep = estimate_membership(host, ps, trials=4_097, seed=5, pair_sample=0,
+                                      threads=threads)
+            assert rep.pair_freq == []
+            assert rep.per_vertex_count == full.per_vertex_count
+            assert rep.sum_sizes == full.sum_sizes
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no pool without os.fork")
     def test_pooled_run_leaves_the_parent_only_the_tested_rows(self):
-        # past one chunk the forked workers run every trial, so the parent
-        # reads only the rows whose edges sample_non_edges tested
+        # past one chunk the forked workers run every trial, and the pairs
+        # sample_non_edges tests are read from the packed words, so the
+        # parent builds no int row
         host = gnp_sample(500, 0.05, seed=3)
         ps = ParamSet(500, 0.05)
-        estimate_membership(host, ps, trials=mc._LIGHT_CHUNK + 1, seed=7, threads=2)
-        tested = gnp_sample(500, 0.05, seed=3)
-        sample_non_edges(tested, mc.PAIR_SAMPLE_DEFAULT, 7)
-        built = [v for v, r in enumerate(host._rows) if r is not None]
-        assert built == [v for v, r in enumerate(tested._rows) if r is not None]
-        assert 0 < len(built) < host.n
+        rep = estimate_membership(host, ps, trials=mc._LIGHT_CHUNK + 1, seed=7, threads=2)
+        assert len(rep.pair_freq) == mc.PAIR_SAMPLE_DEFAULT
+        assert host._rows is None
 
     def test_validation(self):
         host = empty_graph(20)
