@@ -33,7 +33,6 @@ _EXPORTS = {
         "ParamSet",
         "bound_formulas",
         "chernoff_bound",
-        "derive_params",
         "envelope",
         "error_f",
         "expected_degree",

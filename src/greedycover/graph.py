@@ -36,6 +36,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def vertex_id(n: int, v: int) -> int:
+    """v as a Python int, checked to lie in 0..n-1: the one vertex-id check.
+
+    A numpy integer id becomes a Python int, so a big int shifted by it
+    cannot overflow a C long and a payload holding it serializes.
+    """
+    v = index(v)
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range 0..{n - 1}")
+    return v
+
+
 def mask_bits(mask: int, n: int) -> np.ndarray:
     """0/1 uint8 vector of length n for an int bit mask."""
     w = max((n + 7) // 8, 1)
@@ -80,9 +92,7 @@ class VertexSet:
     def from_iterable(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
         mask = 0
         for v in vertices:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            mask |= 1 << v
+            mask |= 1 << vertex_id(n, v)
         return cls(n, mask)
 
     def to_list(self) -> list[int]:
@@ -162,12 +172,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def _vertex(self, v: int) -> int:
-        v = index(v)  # a numpy integer id becomes a Python int
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
-        return v
-
     def row(self, v: int) -> int:
         """Neighbourhood of v as a bit-vector, built from its words on first read.
 
@@ -182,7 +186,7 @@ class Graph:
         return r
 
     def degree(self, v: int) -> int:
-        return int(self.degree_array()[self._vertex(v)])
+        return int(self.degree_array()[vertex_id(self.n, v)])
 
     def degrees(self) -> list[int]:
         return self.degree_array().tolist()
@@ -204,11 +208,11 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Bit v & 7 of byte v >> 3 of u's packed row; no int row is built."""
-        u, v = self._vertex(u), self._vertex(v)
+        u, v = vertex_id(self.n, u), vertex_id(self.n, v)
         return (int(self._packed[u, v >> 3]) >> (v & 7)) & 1 == 1
 
     def neighbors(self, v: int) -> list[int]:
-        return VertexSet(self.n, self.row(self._vertex(v))).to_list()
+        return VertexSet(self.n, self.row(vertex_id(self.n, v))).to_list()
 
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
@@ -368,7 +372,7 @@ def common_non_neighbourhood(g: Graph, s: VertexSet) -> VertexSet:
 
 def codegree(g: Graph, u: int, v: int) -> int:
     """|N(u) ∩ N(v)| for distinct vertices u, v."""
-    if g._vertex(u) == g._vertex(v):
+    if vertex_id(g.n, u) == vertex_id(g.n, v):
         raise ValueError("codegree needs two distinct vertices")
     return (g.row(u) & g.row(v)).bit_count()
 

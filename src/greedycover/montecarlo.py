@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng as _rng
 from .graph import Graph, VertexSet, bits, complete_bipartite, is_independent
-from .graph import mask_bits, non_edge_count, non_edges
+from .graph import mask_bits, non_edge_count, non_edges, vertex_id
 from .params import ParamSet, check_host_n, envelope, error_f
 from .process import _take, chunked_map, sample_independent_set
 
@@ -120,8 +120,6 @@ def estimate_membership(
     from (seed, PAIRS, 0).  Counts merge associatively, so results are
     identical for any thread count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     check_host_n(ps, host)
     pairs = sample_non_edges(host, pair_sample, seed)
     us = np.array([u for u, _ in pairs], dtype=np.intp)
@@ -267,12 +265,11 @@ def estimate_conditional_chain(
     check_host_n(ps, host)
     if not 1 <= i < j <= ps.k:
         raise ValueError("need 1 <= i < j <= k")
-    if u == v or not (0 <= u < host.n and 0 <= v < host.n):
+    u, v = vertex_id(host.n, u), vertex_id(host.n, v)
+    if u == v:
         raise ValueError("u, v must be distinct vertices of the host")
     if host.has_edge(u, v):
         raise ValueError("(u, v) must be a non-edge")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     # an induced degree lies in [0, host degree], so a rail can cut only the
     # vertices above it in the host, or all of them once lower > 0; when it
@@ -419,7 +416,7 @@ def uniform_independent_set(
     if mode == "rejection":
         gen = _rng.stream(seed, _rng.UNIFORM_SET, index)
         for _ in range(REJECTION_CAP):
-            subset = gen.choice(host.n, size=k, replace=False)
+            subset = gen.choice(host.n, size=k)
             vs = VertexSet.from_iterable(host.n, subset)
             if is_independent(host, vs):
                 return vs
@@ -481,8 +478,6 @@ def bipartite_comparison(
         raise ValueError("need a >= k >= 2")
     if b < 1:
         raise ValueError("need b >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     uniform = Fraction(math.comb(a - 2, k - 2), math.comb(a, k) + math.comb(b, k))
     greedy = Fraction(a, a + b) * Fraction(k * (k - 1), a * (a - 1))

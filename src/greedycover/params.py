@@ -81,13 +81,6 @@ class ParamSet:
         object.__setattr__(self, "log_pn", log_pn)
 
 
-def derive_params(
-    n: int, p: float, k_coef: float = 0.5, epsilon: float | None = None
-) -> ParamSet:
-    """Build a ParamSet; see ParamSet for the validation rules."""
-    return ParamSet(n=n, p=p, k_coef=k_coef, epsilon=epsilon)
-
-
 def check_host_n(ps: ParamSet, host) -> None:
     """Reject a host whose vertex count differs from the ParamSet's n."""
     if ps.n != host.n:

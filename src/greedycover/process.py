@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .graph import Graph, VertexSet, mask_bits
+from .graph import Graph, VertexSet, mask_bits, vertex_id
 from .params import ParamSet, check_host_n, envelope, error_f, expected_degree
 
 
@@ -96,9 +96,8 @@ class ProcessState:
         return tuple(self.chosen_list)
 
     def active_degrees(self) -> np.ndarray:
-        """Induced degrees of the currently active vertices."""
-        idx = np.fromiter(self.ids, dtype=np.int64, count=len(self.ids))
-        return self.degrees[idx]
+        """Induced degrees of the currently active vertices, in id order."""
+        return self.degrees[self.sigma_raw == 0]
 
 
 def init(host: Graph, ps: ParamSet) -> ProcessState:
@@ -348,12 +347,7 @@ def increment_diagnostics(
     row of `rng.trial_rows(seed, RUN, ...)`) passes them as `draws`.
     """
     check_host_n(ps, host)
-    if isinstance(tracked, VertexSet):
-        tracked = tracked.to_list()
-    tracked = list(tracked)
-    for v in tracked:
-        if not 0 <= v < host.n:
-            raise ValueError(f"tracked vertex {v} out of range")
+    tracked = [vertex_id(host.n, v) for v in tracked]
 
     if draws is None:
         prun = run(host, ps, seed, index)
@@ -468,8 +462,10 @@ def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     workers run them: worker w runs chunks w, w + workers, ... and sends
     back one pickled list.  The workers inherit (fn, args) by fork, so the
     host is never pickled.  Where os.fork does not exist the chunks run
-    in-process.
+    in-process.  This is every pooled estimator's one trial-count check.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     bounds = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
     workers = min(threads, len(bounds))
     if workers > 1 and hasattr(os, "fork"):
@@ -641,9 +637,7 @@ def ensemble_run(
     fixed chunks of 32 trials, each chunk's partials are computed
     independently, and the reduction runs in ascending chunk order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    tracked = tuple(tracked)
+    tracked = tuple(vertex_id(host.n, v) for v in tracked)
     args = (host, ps, seed, tracked)
     parts = chunked_map(_ensemble_chunk, args, trials, _CHUNK, threads)
 

@@ -266,15 +266,13 @@ class Stream:
         out += lo
         return out
 
-    def choice(self, n: int, size: int, replace: bool = False) -> list[int]:
+    def choice(self, n: int, size: int) -> list[int]:
         """`size` distinct integers of range(n), in numpy's order.
 
         Floyd's algorithm (a draw in [0, j], or j on a repeat, for
         j = n - size .. n - 1), then a Fisher-Yates pass; when size is over
         a 50th of n > 10000, the tail of a Fisher-Yates shuffle of range(n).
         """
-        if replace:
-            raise ValueError("only choice without replacement is implemented")
         if not 0 <= size <= n:
             raise ValueError(f"cannot take {size} of {n} without replacement")
         if n > 10000 and size > n // 50:

@@ -264,7 +264,7 @@ def check_p1(
     for s in range(1, max_size + 1):
         gen = _rng.stream(seed, _rng.SUBSET, s)
         for _ in range(n_uniform):
-            subset = gen.choice(g.n, size=s, replace=False)
+            subset = gen.choice(g.n, size=s)
             consider(VertexSet.from_iterable(g.n, subset))
         for order in orders:
             if len(order) >= s:

@@ -35,6 +35,7 @@ from greedycover.graph import (
     first_edge_inside,
     mask_bits,
     non_edge_count,
+    vertex_id,
 )
 from greedycover.params import ParamSet
 from greedycover.typicality import check_p3
@@ -80,6 +81,25 @@ class TestVertexSet:
             assert t(65) not in s and t(200) not in s
         assert np.int64(150) in VertexSet.full(200)
         assert np.int64(-1) not in VertexSet.full(200)
+
+    def test_numpy_ids_build_every_member(self):
+        # a numpy id shifted as a C long overflows: 70 and 99 were lost
+        for ids in (np.array([1, 70, 99]), [np.int64(1), np.int32(70), np.uint16(99)]):
+            s = VertexSet.from_iterable(100, ids)
+            assert s.to_list() == [1, 70, 99]
+            assert type(s.members) is int
+        assert VertexSet.from_iterable(100, [np.int64(70)]).to_list() == [70]
+        with pytest.raises(ValueError, match=r"^vertex 100 out of range 0\.\.99$"):
+            VertexSet.from_iterable(100, np.array([5, 100]))
+
+    def test_vertex_id_is_a_checked_python_int(self):
+        for v in (7, np.int64(7), np.uint8(7), np.intp(7)):
+            assert vertex_id(10, v) == 7 and type(vertex_id(10, v)) is int
+        for bad in (-1, 10, np.int64(10)):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.9$"):
+                vertex_id(10, bad)
+        with pytest.raises(TypeError):
+            vertex_id(10, 7.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

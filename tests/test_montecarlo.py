@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 import random
@@ -40,7 +41,7 @@ from greedycover.montecarlo import (
     uniform_independent_set,
 )
 from greedycover.params import ParamSet, envelope
-from greedycover.process import run_with_generator
+from greedycover.process import ensemble_run, run_with_generator
 from numpy_oracle import numpy_stream
 
 
@@ -398,8 +399,50 @@ class TestConditionalChain:
             estimate_conditional_chain(host, ps, 1, 2, eu, ev, 10, 0)
         with pytest.raises(ValueError, match="distinct"):
             estimate_conditional_chain(host, ps, 1, 2, u, u, 10, 0)
+        for bad in (-1, 50):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.49$"):
+                estimate_conditional_chain(host, ps, 1, 2, u, bad, 10, 0)
         with pytest.raises(ValueError, match="trials"):
             estimate_conditional_chain(host, ps, 1, 2, u, v, 0, 0)
+
+
+    def test_numpy_pair_serializes(self):
+        host = gnp_sample(50, 0.2, seed=0)
+        ps = ParamSet(50, 0.2)
+        u, v = next(iter(non_edges(host)))
+        est = estimate_conditional_chain(host, ps, 1, 2, np.int64(u), np.int64(v), 200, 3)
+        assert type(est.u) is int and type(est.v) is int
+        json.dumps(plain(est))
+        assert plain(est) == plain(estimate_conditional_chain(host, ps, 1, 2, u, v, 200, 3))
+
+
+# the four pooled estimators at trials=0; each takes (host, ps, u, v)
+ZERO_TRIALS = {
+    "ensemble_run": lambda h, ps, u, v: ensemble_run(h, ps, 0, 0, threads=2),
+    "estimate_membership": lambda h, ps, u, v: estimate_membership(
+        h, ps, 0, 0, threads=2
+    ),
+    "estimate_conditional_chain": lambda h, ps, u, v: estimate_conditional_chain(
+        h, ps, 1, 2, u, v, 0, 0, threads=2
+    ),
+    "bipartite_comparison": lambda h, ps, u, v: bipartite_comparison(
+        5, 5, 2, 0, 0, threads=2
+    ),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_TRIALS.values(), ids=ZERO_TRIALS.keys())
+def test_pooled_estimators_reject_zero_trials_before_forking(call, monkeypatch):
+    # chunked_map holds the one trial-count check
+    host = gnp_sample(50, 0.2, seed=0)
+    u, v = next(iter(non_edges(host)))
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        call(host, ParamSet(50, 0.2), u, v)
 
 
 class TestUniformIndependentSet:

@@ -17,7 +17,6 @@ from greedycover.params import (
     ParamSet,
     bound_formulas,
     chernoff_bound,
-    derive_params,
     envelope,
     error_f,
     expected_degree,
@@ -53,32 +52,32 @@ FROZEN = {
 
 class TestDeriveParams:
     def test_frozen_desk_scale_point(self):
-        ps = derive_params(1000, 0.05, 0.5)
+        ps = ParamSet(1000, 0.05, 0.5)
         assert ps.k == 39
         assert rel_err(ps.f0, FROZEN["f0_1000_005"]) < TOL
         assert rel_err(ps.delta2, FROZEN["delta2_1000_005"]) < TOL
 
     def test_frozen_k_values(self):
-        assert derive_params(100, 0.1, 0.5).k == 11
-        assert derive_params(300, 0.1, 0.5).k == 17
-        assert derive_params(500, 0.05, 0.5).k == 32
-        assert derive_params(2000, 0.05, 0.5).k == 46
-        assert rel_err(derive_params(2000, 0.005, 0.087).f0, FROZEN["f0_2000_0005"]) < TOL
-        assert derive_params(2000, 0.005, 0.087).k == 40
+        assert ParamSet(100, 0.1, 0.5).k == 11
+        assert ParamSet(300, 0.1, 0.5).k == 17
+        assert ParamSet(500, 0.05, 0.5).k == 32
+        assert ParamSet(2000, 0.05, 0.5).k == 46
+        assert rel_err(ParamSet(2000, 0.005, 0.087).f0, FROZEN["f0_2000_0005"]) < TOL
+        assert ParamSet(2000, 0.005, 0.087).k == 40
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
-            derive_params(1, 0.5)
+            ParamSet(1, 0.5)
         with pytest.raises(ValueError, match=r"p must lie"):
-            derive_params(100, 0.0)
+            ParamSet(100, 0.0)
         with pytest.raises(ValueError, match=r"p must lie"):
-            derive_params(100, 1.0)
+            ParamSet(100, 1.0)
         with pytest.raises(ValueError, match=r"p\*n"):
-            derive_params(100, 0.005)
+            ParamSet(100, 0.005)
         with pytest.raises(ValueError, match="k_coef"):
-            derive_params(100, 0.1, k_coef=0.0)
+            ParamSet(100, 0.1, k_coef=0.0)
         with pytest.raises(ValueError, match="k = 0"):
-            derive_params(100, 0.1, k_coef=0.01)
+            ParamSet(100, 0.1, k_coef=0.01)
 
     @pytest.mark.parametrize("k_coef", [math.inf, math.nan, 1e308])
     def test_non_finite_length_rejected(self, k_coef):
@@ -89,26 +88,26 @@ class TestDeriveParams:
     def test_epsilon_mode_records_and_overrides(self):
         # epsilon * 2^-10 is far too small at desk scale -> k = 0 rejected.
         with pytest.raises(ValueError, match="k ="):
-            derive_params(1000, 0.05, epsilon=0.5)
+            ParamSet(1000, 0.05, epsilon=0.5)
         # The override arithmetic itself: pick k_coef equal to eps * 2^-10
         # at a point where it stays feasible, and compare.
         eps = 0.9
         coef = eps * 2.0**-10
         n, p = 10**6, 0.0004  # pn = 400, k = floor(coef/p * log 400) ~ 13
-        a = derive_params(n, p, k_coef=coef)
-        b = derive_params(n, p, epsilon=eps)
+        a = ParamSet(n, p, k_coef=coef)
+        b = ParamSet(n, p, epsilon=eps)
         assert a.k == b.k and a.k_coef == b.k_coef
         assert b.epsilon == eps and a.epsilon is None
 
     def test_immutability(self):
-        ps = derive_params(100, 0.1)
+        ps = ParamSet(100, 0.1)
         with pytest.raises(Exception):
             ps.n = 200  # type: ignore[misc]
 
 
 class TestTrajectory:
     def test_frozen_points(self):
-        ps = derive_params(1000, 0.05, 0.5)
+        ps = ParamSet(1000, 0.05, 0.5)
         assert rel_err(expected_degree(ps, 0), 50.0) < TOL
         assert rel_err(expected_degree(ps, 1), FROZEN["dt_1000_005_1"]) < TOL
         assert rel_err(error_f(ps, 0), FROZEN["f0_1000_005"]) < TOL
@@ -123,7 +122,7 @@ class TestTrajectory:
             if p * n <= 1.5:
                 continue
             try:
-                ps = derive_params(n, p)
+                ps = ParamSet(n, p)
             except ValueError:
                 continue
             i = int(rng.integers(0, 60))
@@ -133,7 +132,7 @@ class TestTrajectory:
             assert error_f(ps, i) > 0
 
     def test_envelope_structure(self):
-        ps = derive_params(1000, 0.05)
+        ps = ParamSet(1000, 0.05)
         pt = envelope(ps, 3)
         assert isinstance(pt, EnvelopePoint)
         assert pt.lower <= pt.d_tilde <= pt.upper
@@ -182,14 +181,14 @@ class TestTailBounds:
 
 class TestBudgets:
     def test_frozen_points(self):
-        ps = derive_params(1000, 0.05)
+        ps = ParamSet(1000, 0.05)
         assert rel_err(variation_cap(ps), FROZEN["varcap_1000_005"]) < TOL
         assert rel_err(failure_prob_bound(ps), FROZEN["failprob_1000_005"]) < TOL
         bf = bound_formulas(ps)
         assert rel_err(bf["mrss_lower"], FROZEN["mrss_1000_005"]) < TOL
 
     def test_bound_formulas_300_01(self):
-        ps = derive_params(300, 0.1, 0.5)
+        ps = ParamSet(300, 0.1, 0.5)
         bf = bound_formulas(ps, c_eps=1.0)
         assert bf["s_pdim"] == 18
         assert bf["t_pdim"] == 101
@@ -199,7 +198,7 @@ class TestBudgets:
                 bound_formulas(ps, c_eps=c_eps)
 
     def test_c_eps_scales_t_pdim(self):
-        ps = derive_params(300, 0.1, 0.5)
+        ps = ParamSet(300, 0.1, 0.5)
         t1 = bound_formulas(ps, c_eps=1.0)["t_pdim"]
         t3 = bound_formulas(ps, c_eps=3.0)["t_pdim"]
         assert t3 == math.ceil(3.0 * 300 * math.log(300) / ps.k)

@@ -8,6 +8,7 @@ step, and checks the engine's incremental bookkeeping against it.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import signal
@@ -18,7 +19,13 @@ import pytest
 
 from greedycover import rng
 from greedycover.cli import plain
-from greedycover.graph import Graph, complete_bipartite, gnp_sample, is_independent
+from greedycover.graph import (
+    Graph,
+    VertexSet,
+    complete_bipartite,
+    gnp_sample,
+    is_independent,
+)
 from greedycover.params import ParamSet, envelope, error_f, expected_degree
 from greedycover.process import (
     chunked_map,
@@ -303,6 +310,20 @@ class TestIncrements:
         for ti, v in enumerate(tracked):
             assert stats.rho[ti] == min(prun.tau, prun.sigma[v] - 1)
 
+    def test_tracked_ids_any_integer_form(self):
+        host = gnp_sample(80, 0.2, seed=9)
+        ps = ParamSet(80, 0.2)
+        want = increment_diagnostics(host, ps, [3, 40, 77], seed=12)
+        for tracked in (VertexSet.from_iterable(80, [3, 40, 77]), np.array([3, 40, 77])):
+            got = increment_diagnostics(host, ps, tracked, seed=12)
+            assert got.tracked == [3, 40, 77]
+            assert all(type(v) is int for v in got.tracked)
+            assert np.array_equal(got.dx_minus, want.dx_minus)
+            assert np.array_equal(got.rho, want.rho)
+        for bad in (-1, 80):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.79$"):
+                increment_diagnostics(host, ps, [3, bad], seed=12)
+
     def test_violation_freezes_survivors(self):
         host = two_cliques(100)
         ps = ParamSet(200, 0.02)
@@ -479,6 +500,15 @@ class TestEnsemble:
             max(np.mean(np.square(pooled)) - np.mean(pooled) ** 2, 0) / len(pooled)
         )
         assert abs(summ.dx_minus_se - se) < TOL
+
+    def test_numpy_tracked_ids_serialize(self):
+        host = gnp_sample(50, 0.2, seed=6)
+        ps = ParamSet(50, 0.2)
+        summ = ensemble_run(host, ps, 4, 1, tracked=np.arange(3))
+        assert summ.tracked == [0, 1, 2]
+        assert all(type(v) is int for v in summ.tracked)
+        json.dumps(plain(summ))
+        assert plain(summ) == plain(ensemble_run(host, ps, 4, 1, tracked=(0, 1, 2)))
 
     def test_all_violations_counted(self):
         host = two_cliques(100)
