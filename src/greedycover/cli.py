@@ -443,6 +443,8 @@ def _execute_run(cfg: RunConfig) -> tuple:
 
 def _execute_typical(cfg: RunConfig) -> tuple:
     host = _load_host(cfg)
+    if cfg.max_size is not None and cfg.max_size > host.n:
+        raise _SetupError(f"--max-size {cfg.max_size} exceeds the host's n={host.n}")
     ps = _params(cfg, host.n)
     report = is_typical(
         host,
@@ -503,6 +505,8 @@ def _execute_estimate(cfg: RunConfig) -> tuple:
     if cfg.what == "chain" and max(cfg.u, cfg.v) >= host.n:
         raise _SetupError(f"--u and --v must be vertices of the host, below n={host.n}")
     if cfg.what == "uniform":
+        if cfg.k > host.n:
+            raise _SetupError(f"--k {cfg.k} exceeds the host's n={host.n}")
         vs = uniform_independent_set(
             host, cfg.k, seed=cfg.seed, index=cfg.index, mode=cfg.sample_mode
         )

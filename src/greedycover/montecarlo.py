@@ -210,9 +210,9 @@ def _chain_trial(
     """
     active = host.full_mask
     ids, pos = host.vertex_ids(), host.vertex_ids()
+    # `ids` is never empty at a step: step 1 starts from all n >= 2 vertices,
+    # and a chain that held after step t - 1 < j keeps v active
     for t in range(1, j + 1):
-        if not ids:
-            return t - 1
         w, removed = _take(host, ids, pos, active, draws[t - 1])
         active &= ~removed
         if not _chain_holds(t, w, pos, i, j, u, v):

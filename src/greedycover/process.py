@@ -85,7 +85,7 @@ class ProcessState:
         self.degrees = host.degree_array().copy()
         self.chosen_list: list[int] = []
         self.sigma_raw = np.zeros(n, dtype=np.int64)  # step v left active; 0 = still in
-        self._act_words = max((n + 7) // 8, 1)
+        self._act_words = max((n + 7) // 8, 1)  # read only by perfbench/spans.py
 
     @property
     def active(self) -> VertexSet:
@@ -147,16 +147,10 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
     removed = np.flatnonzero(mask_bits(rm_mask, host.n))
     state.sigma_raw[removed] = i
 
-    # degrees[w] -= |N(w) ∩ removed| for surviving w, computed as the column
-    # sums of the removed rows restricted to the new active set
-    if state.active_mask:
-        act = np.frombuffer(
-            state.active_mask.to_bytes(state._act_words, "little"), dtype=np.uint8
-        )
-        rows = host.packed_rows()[removed] & act
-        state.degrees -= np.unpackbits(
-            rows, axis=1, count=host.n, bitorder="little"
-        ).sum(axis=0, dtype=np.int64)
+    # degrees[w] -= |N(w) ∩ removed|: right for survivors, stale elsewhere
+    state.degrees -= np.unpackbits(
+        host.packed_rows()[removed], axis=1, count=host.n, bitorder="little"
+    ).sum(axis=0, dtype=np.int64)
 
     e = envelope(state.ps, i)
     if state.ids:
@@ -280,7 +274,7 @@ class IncrementStats:
     For a tracked vertex v, X^-(v, i) = d_i(v) - d_tilde_i - f_i * d_tilde_i
     and X^+(v, i) = d_i(v) - d_tilde_i + f_i * d_tilde_i, stopped at
     rho_v = min(tau, sigma_v - 1): steps after rho_v contribute increment 0.
-    Every field is derived from the recorded `run` once it has stopped.
+    Every field is derived from a recorded run once it has stopped.
     dx arrays have shape (len(tracked), completed_steps).  max/mean aggregate
     both signs; the mean counts `live` increments only (the zeros after rho
     are bookkeeping, not samples).  bound_mean[i-1] = 3 * p * d_tilde_{i-1} is
@@ -299,7 +293,6 @@ class IncrementStats:
     mean_abs_increment: float
     bound_abs: float
     bound_mean: np.ndarray
-    run: ProcessRun
     m_vj: np.ndarray | None = None
     q_vj: np.ndarray | None = None
 
@@ -329,41 +322,25 @@ def _survivors(
 
 def increment_diagnostics(
     host: Graph,
-    ps: ParamSet,
     tracked: Sequence[int] | VertexSet,
-    seed: int,
-    index: int = 0,
+    prun: ProcessRun,
     collect_mq: bool = False,
-    draws: np.ndarray | None = None,
 ) -> IncrementStats:
-    """Run once, then derive the X^-/X^+ increments of `tracked` vertices.
+    """The X^-/X^+ increments of `tracked` vertices, derived from `prun`, which
+    must be a run of `host` (only n is checked, as in `verify_cover`).
 
     The run's sigma gives every degree: d_i(v) = #{w in N(v) : sigma_w > i}.
     With collect_mq, also gives for each tracked v and step j (0-based,
     state before step j+1, active set {w : sigma_w > j}): m_vj = sum of
     codegrees d_j(u, v) over active u outside v's closed neighbourhood, and
     q_vj = 1 - (d_j(v) + 1) / |V_j|, both exact; entries after v leaves
-    are NaN.  A caller that has read the trial's k uniforms already (a
-    row of `rng.trial_rows(seed, RUN, ...)`) passes them as `draws`.
+    are NaN.
     """
+    ps = prun.params
     check_host_n(ps, host)
     tracked = [vertex_id(host.n, v) for v in tracked]
-
-    if draws is None:
-        prun = run(host, ps, seed, index)
-    else:
-        prun = run_draws(host, ps, draws, seed, index)
     completed = prun.completed_steps
     d_tilde = np.array([expected_degree(ps, 0)] + [r.d_tilde for r in prun.records])
-    bound_mean = 3.0 * ps.p * d_tilde[:-1]
-    if not tracked:
-        # what the derivation below gives on empty arrays, without running it
-        none = np.zeros((0, completed))
-        return IncrementStats(
-            tracked, completed, none, none, np.zeros(0), np.zeros(0), [], 0.0, 0.0,
-            increment_bound(ps), bound_mean, prun,
-            *((none, none) if collect_mq else (None, None)),
-        )
     sigma = np.array(prun.sigma, dtype=np.int64)
     tv = np.array(tracked, dtype=np.int64)
     nt = len(tracked)
@@ -406,8 +383,7 @@ def increment_diagnostics(
         max_abs_increment=0.0,
         mean_abs_increment=0.0,
         bound_abs=increment_bound(ps),
-        bound_mean=bound_mean,
-        run=prun,
+        bound_mean=3.0 * ps.p * d_tilde[:-1],
         m_vj=m_vj,
         q_vj=q_vj,
     )
@@ -462,10 +438,12 @@ def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     workers run them: worker w runs chunks w, w + workers, ... and sends
     back one pickled list.  The workers inherit (fn, args) by fork, so the
     host is never pickled.  Where os.fork does not exist the chunks run
-    in-process.  This is every pooled estimator's one trial-count check.
+    in-process.  This is every pooled estimator's one trial and thread check.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     bounds = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
     workers = min(threads, len(bounds))
     if workers > 1 and hasattr(os, "fork"):
@@ -599,13 +577,13 @@ def _ensemble_chunk(
     }
     rows = _rng.trial_rows(seed, _rng.RUN, start, stop, k)
     for t, draws in zip(range(start, stop), rows):
-        stats = increment_diagnostics(host, ps, tracked, seed, index=t, draws=draws)
-        prun = stats.run
-        live = stats.live
-        dm = stats.dx_minus[live]
-        dp = stats.dx_plus[live]
-        out["dx_sums"] += [dm.sum(), (dm * dm).sum(), dp.sum(), (dp * dp).sum()]
-        out["dn"] += int(dm.size)
+        prun = run_draws(host, ps, draws, seed, t)
+        if tracked:
+            stats = increment_diagnostics(host, tracked, prun)
+            live = stats.live
+            dm, dp = stats.dx_minus[live], stats.dx_plus[live]
+            out["dx_sums"] += [dm.sum(), (dm * dm).sum(), dp.sum(), (dp * dp).sum()]
+            out["dn"] += int(dm.size)
         out["violations"] += any(not r.in_envelope for r in prun.records)
         out["early"] += prun.tau < prun.completed_steps
         out["completed"].append(prun.completed_steps)

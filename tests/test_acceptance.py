@@ -149,7 +149,7 @@ def test_criterion_03_increment_hard_bound():
         p3 = check_p3(host, ps)
         assert p3.violations == [], "host must be P3-typical for this criterion"
         tracked = list(range(0, 2000, 50))
-        stats = increment_diagnostics(host, ps, tracked, seed)
+        stats = increment_diagnostics(host, tracked, run(host, ps, seed))
         assert stats.bound_abs == bound
         assert float(np.abs(stats.dx_minus).max()) <= bound
         assert float(np.abs(stats.dx_plus).max()) <= bound

@@ -387,6 +387,18 @@ class TestRun:
         assert int(first[0]) == 1
         assert int(first[1]) == prun.order[0]
 
+    def test_csv_records_of_an_exhausted_run(self, capsys):
+        # the last step empties the active set: its degree cells (None) are empty
+        argv = ["run", "--n", "8", "--p", "0.5", "--k-coef", "3", "--seed", "1"]
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        prun = run(gnp_sample(8, 0.5, 1), ParamSet(8, 0.5, k_coef=3.0), 1)
+        assert prun.completed_steps < prun.params.k
+        assert len(lines) == 1 + prun.completed_steps
+        last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        assert last["active_size"] == "0"
+        assert last["deg_min"] == last["deg_max"] == last["deg_mean"] == ""
+
     def test_ensemble_matches_library(self, capsys):
         code, doc = run_json(
             capsys,
@@ -599,8 +611,9 @@ class TestExitCodesAndIO:
              "--u", "60", "--v", "1", "--trials", "10"],
             ["estimate", "--what", "chain", "--p", "0.2", "--i", "1", "--j", "3",
              "--u", "0", "--v", "75", "--trials", "10"],
+            ["typical", "--p", "0.2", "--max-size", "61"],
         ],
-        ids=["tracked", "chain_u", "chain_v"],
+        ids=["tracked", "chain_u", "chain_v", "max_size"],
     )
     def test_vertex_beyond_the_host_exit_2(self, argv, source, tmp_path, capsys):
         # the flags are checked against the host as soon as it is loaded
@@ -613,6 +626,19 @@ class TestExitCodesAndIO:
         assert main([*argv, *host]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "usage error" in err and "n=60" in err
+
+    @pytest.mark.parametrize("source", ["n", "input"])
+    def test_uniform_k_beyond_the_host_exit_2(self, source, tmp_path, capsys):
+        # uniform reads --p only when it generates the host
+        if source == "n":
+            host = ["--n", "60", "--p", "0.2", "--seed", "3"]
+        else:
+            path = tmp_path / "host.el"
+            path.write_text(to_edge_list(gnp_sample(60, 0.2, 3)))
+            host = ["--input", str(path)]
+        assert main(["estimate", "--what", "uniform", "--k", "61", *host]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error" in err and "--k 61" in err and "n=60" in err
 
     def test_out_file_written(self, tmp_path, capsys):
         path = tmp_path / "r.json"

@@ -125,6 +125,20 @@ class TestTheta1Adaptive:
         report = verify_cover(host, cover)
         assert report.uncovered and report.covered_fraction < 1.0
 
+    @pytest.mark.parametrize(
+        "build, budget, msg",
+        [
+            (build_theta1_adaptive, {"max_t": 0}, "max_t must be >= 1"),
+            (build_pdim_adaptive, {"max_t": 0}, "s and max_t must be >= 1"),
+            (build_pdim_adaptive, {"s": 0}, "s and max_t must be >= 1"),
+        ],
+        ids=["theta1_max_t", "pdim_max_t", "pdim_s"],
+    )
+    def test_adaptive_budget_validation(self, build, budget, msg):
+        host = gnp_sample(30, 0.2, seed=0)
+        with pytest.raises(ValueError, match=msg):
+            build(host, ParamSet(30, 0.2), seed=0, **budget)
+
 
 class TestPdim:
     def test_single_cell(self):

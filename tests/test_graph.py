@@ -111,6 +111,27 @@ class TestVertexSet:
         assert VertexSet.empty(5).size == 0
         assert VertexSet.full(5).size == 5
 
+    @pytest.mark.parametrize(
+        "call, msg",
+        [
+            (lambda: VertexSet(-1, 0), "n must be non-negative"),
+            (lambda: complete_bipartite(-1, 3), "part sizes must be non-negative"),
+            (lambda: complete_bipartite(3, -1), "part sizes must be non-negative"),
+            (
+                lambda: common_non_neighbourhood(complete_bipartite(2, 3), VertexSet.empty(4)),
+                "vertex set is for a different n",
+            ),
+            (
+                lambda: is_independent(complete_bipartite(2, 3), VertexSet.empty(6)),
+                "vertex set is for a different n",
+            ),
+        ],
+        ids=["negative_n", "negative_a", "negative_b", "cnn_other_n", "independent_other_n"],
+    )
+    def test_size_validation(self, call, msg):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
     def test_slotted_reading_size_stores_nothing(self):
         s = VertexSet(70, (1 << 69) | 0b1011)
         assert not hasattr(s, "__dict__")
@@ -317,6 +338,9 @@ class TestEdgeList:
             ("", 1, "empty"),
             ("3\n", 1, "header"),
             ("a b\n", 1, "non-integer"),
+            ("-1 0\n", 1, "non-negative"),
+            ("3 -1\n", 1, "non-negative"),
+            ("3 1\n0 x\n", 2, "non-integer vertex ids"),
             ("3 1\n0 0\n", 2, "0 <= u < v"),
             ("3 1\n1 0\n", 2, "0 <= u < v"),
             ("3 1\n0 3\n", 2, "0 <= u < v"),

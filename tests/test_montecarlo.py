@@ -416,25 +416,28 @@ class TestConditionalChain:
         assert plain(est) == plain(estimate_conditional_chain(host, ps, 1, 2, u, v, 200, 3))
 
 
-# the four pooled estimators at trials=0; each takes (host, ps, u, v)
-ZERO_TRIALS = {
-    "ensemble_run": lambda h, ps, u, v: ensemble_run(h, ps, 0, 0, threads=2),
-    "estimate_membership": lambda h, ps, u, v: estimate_membership(
-        h, ps, 0, 0, threads=2
+# the four pooled estimators; each takes (host, ps, u, v, trials, threads)
+POOLED = {
+    "ensemble_run": lambda h, ps, u, v, trials, threads: ensemble_run(
+        h, ps, trials, 0, threads=threads
     ),
-    "estimate_conditional_chain": lambda h, ps, u, v: estimate_conditional_chain(
-        h, ps, 1, 2, u, v, 0, 0, threads=2
+    "estimate_membership": lambda h, ps, u, v, trials, threads: estimate_membership(
+        h, ps, trials, 0, threads=threads
     ),
-    "bipartite_comparison": lambda h, ps, u, v: bipartite_comparison(
-        5, 5, 2, 0, 0, threads=2
+    "estimate_conditional_chain": lambda h, ps, u, v, trials, threads: (
+        estimate_conditional_chain(h, ps, 1, 2, u, v, trials, 0, threads=threads)
+    ),
+    "bipartite_comparison": lambda h, ps, u, v, trials, threads: bipartite_comparison(
+        5, 5, 2, trials, 0, threads=threads
     ),
 }
 
 
-@pytest.mark.parametrize("call", ZERO_TRIALS.values(), ids=ZERO_TRIALS.keys())
+@pytest.mark.parametrize("call", POOLED.values(), ids=POOLED.keys())
 def test_pooled_estimators_reject_zero_trials_before_forking(call, monkeypatch):
-    # chunked_map holds the one trial-count check
+    # chunked_map holds the one check of the trial and thread counts
     host = gnp_sample(50, 0.2, seed=0)
+    ps = ParamSet(50, 0.2)
     u, v = next(iter(non_edges(host)))
 
     def fork():
@@ -442,7 +445,10 @@ def test_pooled_estimators_reject_zero_trials_before_forking(call, monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
-        call(host, ParamSet(50, 0.2), u, v)
+        call(host, ps, u, v, trials=0, threads=2)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+            call(host, ps, u, v, trials=10, threads=threads)
 
 
 class TestUniformIndependentSet:
@@ -512,6 +518,23 @@ class TestUniformIndependentSet:
             uniform_independent_set(empty_graph(5), 2, seed=0, mode="magic")
         with pytest.raises(ValueError, match="k must be"):
             uniform_independent_set(empty_graph(5), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "cap, k, msg",
+        [
+            (None, 3, "no independent 3-set"),
+            (1, 3, "exact enumeration too large"),
+            (2, 2, "independent k-sets; use rejection mode"),
+        ],
+        ids=["no_kset", "work_cap", "set_cap"],
+    )
+    def test_enumeration_errors(self, cap, k, msg, monkeypatch):
+        # C5 is not complete multipartite, so exact mode enumerates its k-sets
+        if cap is not None:
+            monkeypatch.setattr(mc, "ENUM_CAP", cap)
+        c5 = Graph.from_rows([(1 << ((v + 1) % 5)) | (1 << ((v - 1) % 5)) for v in range(5)])
+        with pytest.raises(ValueError, match=msg):
+            uniform_independent_set(c5, k, seed=0)
         with pytest.raises(ValueError, match="k must be"):
             uniform_independent_set(empty_graph(5), 6, seed=0)
 

@@ -79,6 +79,20 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="k = 0"):
             ParamSet(100, 0.1, k_coef=0.01)
 
+    @pytest.mark.parametrize(
+        "call, msg",
+        [
+            (lambda: ParamSet(100, 0.1, epsilon=0.0), r"epsilon must lie in \(0, 1\)"),
+            (lambda: ParamSet(100, 0.1, epsilon=1.0), r"epsilon must lie in \(0, 1\)"),
+            (lambda: expected_degree(ParamSet(100, 0.1), -1), "step index"),
+            (lambda: error_f(ParamSet(100, 0.1), -1), "step index"),
+        ],
+        ids=["epsilon_0", "epsilon_1", "expected_degree", "error_f"],
+    )
+    def test_range_validation(self, call, msg):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
     @pytest.mark.parametrize("k_coef", [math.inf, math.nan, 1e308])
     def test_non_finite_length_rejected(self, k_coef):
         # 1e308 / p overflows to inf; math.floor would raise OverflowError

@@ -280,7 +280,7 @@ class TestIncrements:
         host = empty_graph(n)
         ps = ParamSet(n, p)
         tracked = [35, 36, 37, 38, 39]
-        stats = increment_diagnostics(host, ps, tracked, seed=6)
+        stats = increment_diagnostics(host, tracked, run(host, ps, seed=6))
         assert stats.completed_steps == ps.k
         for ti, v in enumerate(tracked):
             if stats.rho[ti] != ps.k:
@@ -295,7 +295,7 @@ class TestIncrements:
         host = gnp_sample(80, 0.2, seed=9)
         ps = ParamSet(80, 0.2)
         tracked = list(range(0, 80, 7))
-        stats = increment_diagnostics(host, ps, tracked, seed=12)
+        stats = increment_diagnostics(host, tracked, run(host, ps, seed=12))
         for ti in range(len(tracked)):
             r = stats.rho[ti]
             assert np.all(stats.dx_minus[ti, r:] == 0.0)
@@ -305,31 +305,32 @@ class TestIncrements:
         host = gnp_sample(80, 0.2, seed=9)
         ps = ParamSet(80, 0.2)
         tracked = list(range(80))
-        stats = increment_diagnostics(host, ps, tracked, seed=12)
-        prun = stats.run
+        prun = run(host, ps, seed=12)
+        stats = increment_diagnostics(host, tracked, prun)
         for ti, v in enumerate(tracked):
             assert stats.rho[ti] == min(prun.tau, prun.sigma[v] - 1)
 
     def test_tracked_ids_any_integer_form(self):
         host = gnp_sample(80, 0.2, seed=9)
         ps = ParamSet(80, 0.2)
-        want = increment_diagnostics(host, ps, [3, 40, 77], seed=12)
+        prun = run(host, ps, seed=12)
+        want = increment_diagnostics(host, [3, 40, 77], prun)
         for tracked in (VertexSet.from_iterable(80, [3, 40, 77]), np.array([3, 40, 77])):
-            got = increment_diagnostics(host, ps, tracked, seed=12)
+            got = increment_diagnostics(host, tracked, prun)
             assert got.tracked == [3, 40, 77]
             assert all(type(v) is int for v in got.tracked)
             assert np.array_equal(got.dx_minus, want.dx_minus)
             assert np.array_equal(got.rho, want.rho)
         for bad in (-1, 80):
             with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.79$"):
-                increment_diagnostics(host, ps, [3, bad], seed=12)
+                increment_diagnostics(host, [3, bad], prun)
 
     def test_violation_freezes_survivors(self):
         host = two_cliques(100)
         ps = ParamSet(200, 0.02)
         tracked = [10, 110]
-        stats = increment_diagnostics(host, ps, tracked, seed=3)
-        prun = stats.run
+        prun = run(host, ps, seed=3)
+        stats = increment_diagnostics(host, tracked, prun)
         assert prun.tau == 1
         first = prun.order[0]
         survivor, victim = (1, 0) if first < 100 else (0, 1)
@@ -347,16 +348,6 @@ class TestIncrements:
         assert np.all(stats.dx_minus[victim] == 0.0)
         assert np.all(stats.dx_plus[victim] == 0.0)
 
-    def test_run_payload_matches_plain_run(self):
-        host = gnp_sample(70, 0.15, seed=2)
-        ps = ParamSet(70, 0.15)
-        stats = increment_diagnostics(host, ps, [0, 1, 2], seed=30)
-        plain = run(host, ps, seed=30)
-        assert stats.run.order == plain.order
-        assert stats.run.records == plain.records
-        assert stats.run.tau == plain.tau
-        assert stats.run.sigma == plain.sigma
-
     def test_x_update_matches_degree_definition(self):
         # a G(n, p) host; two cliques, which violate at step 1; K_{3,5} with
         # k above the 5 steps it can take; the empty graph.  On two_cliques(80)
@@ -371,8 +362,9 @@ class TestIncrements:
         ]
         for host, ps, seed in cases:
             tracked = list(range(host.n))
-            stats = increment_diagnostics(host, ps, tracked, seed=seed)
-            snaps = replay(host, stats.run.order)
+            prun = run(host, ps, seed=seed)
+            stats = increment_diagnostics(host, tracked, prun)
+            snaps = replay(host, prun.order)
             d0, f0 = expected_degree(ps, 0), error_f(ps, 0)
             for ti, v in enumerate(tracked):
                 # x recomputed from the snapshots in the engine's float order
@@ -393,10 +385,10 @@ class TestIncrements:
                 assert np.all(stats.dx_plus[ti, rho:] == 0.0)
         # the cases reach what they are here for
         for host, ps, seed in cases[1:3]:
-            assert increment_diagnostics(host, ps, [0], seed=seed).run.tau == 1
-        k35 = increment_diagnostics(*cases[3][:2], [0], seed=1)
+            assert run(host, ps, seed=seed).tau == 1
+        k35 = run(*cases[3][:2], seed=1)
         assert k35.completed_steps < cases[3][1].k
-        assert k35.run.records[-1].active_size == 0
+        assert k35.records[-1].active_size == 0
 
     def test_mq_diagnostics(self):
         cases = [
@@ -405,10 +397,11 @@ class TestIncrements:
         ]
         for host, ps, tracked in cases:
             n = host.n
-            stats = increment_diagnostics(host, ps, tracked, seed=5, collect_mq=True)
+            prun = run(host, ps, seed=5)
+            stats = increment_diagnostics(host, tracked, prun, collect_mq=True)
             assert stats.m_vj.shape == (len(tracked), stats.completed_steps)
             snaps = [(set(range(n)), {w: host.degree(w) for w in range(n)})]
-            snaps += replay(host, stats.run.order)
+            snaps += replay(host, prun.order)
             for ti, v in enumerate(tracked):
                 for j in range(stats.completed_steps):
                     act, degs = snaps[j]
@@ -433,7 +426,25 @@ class TestIncrements:
     def test_tracked_validation(self):
         host = gnp_sample(30, 0.2, seed=0)
         with pytest.raises(ValueError):
-            increment_diagnostics(host, ParamSet(30, 0.2), [30], seed=0)
+            increment_diagnostics(host, [30], run(host, ParamSet(30, 0.2), seed=0))
+
+    def test_run_of_another_size_rejected(self):
+        prun = run(gnp_sample(30, 0.2, seed=0), ParamSet(30, 0.2), seed=0)
+        with pytest.raises(ValueError, match="n=30"):
+            increment_diagnostics(gnp_sample(31, 0.2, seed=0), [0], prun)
+
+    def test_no_tracked_vertices(self):
+        # an empty tracked list runs the derivation on empty arrays
+        host = gnp_sample(40, 0.3, seed=5)
+        prun = run(host, ParamSet(40, 0.3), seed=5)
+        stats = increment_diagnostics(host, [], prun, collect_mq=True)
+        steps = prun.completed_steps
+        for arr in (stats.dx_minus, stats.dx_plus, stats.m_vj, stats.q_vj):
+            assert arr.shape == (0, steps)
+        assert stats.x0_minus.shape == stats.x0_plus.shape == (0,)
+        assert stats.tracked == stats.rho == []
+        assert stats.max_abs_increment == stats.mean_abs_increment == 0.0
+        assert stats.bound_mean.shape == (steps,)
 
 
 class TestEnsemble:
@@ -490,7 +501,7 @@ class TestEnsemble:
         summ = ensemble_run(host, ps, 20, seed=5, tracked=tracked)
         pooled = []
         for t in range(20):
-            stats = increment_diagnostics(host, ps, tracked, seed=5, index=t)
+            stats = increment_diagnostics(host, tracked, run(host, ps, seed=5, index=t))
             for ti in range(len(tracked)):
                 lim = min(stats.rho[ti], stats.completed_steps)
                 pooled.extend(stats.dx_minus[ti, :lim])

@@ -77,6 +77,8 @@ class TestUniformRows:
             rng.uniform_rows(0, 1 << 16, 0, 2, 3)
         with pytest.raises(ValueError):
             rng.uniform_rows(0, rng.RUN, 5, 4, 3)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            rng.uniform_rows(0, rng.RUN, 0, 2, -1)
 
 
 class TestTrialRows:
