@@ -518,6 +518,8 @@ class TestUniformIndependentSet:
             uniform_independent_set(empty_graph(5), 2, seed=0, mode="magic")
         with pytest.raises(ValueError, match="k must be"):
             uniform_independent_set(empty_graph(5), 0, seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            uniform_independent_set(empty_graph(5), 6, seed=0)
 
     @pytest.mark.parametrize(
         "cap, k, msg",
@@ -535,8 +537,6 @@ class TestUniformIndependentSet:
         c5 = Graph.from_rows([(1 << ((v + 1) % 5)) | (1 << ((v - 1) % 5)) for v in range(5)])
         with pytest.raises(ValueError, match=msg):
             uniform_independent_set(c5, k, seed=0)
-        with pytest.raises(ValueError, match="k must be"):
-            uniform_independent_set(empty_graph(5), 6, seed=0)
 
     def test_index_separates_draws(self):
         host = empty_graph(20)
