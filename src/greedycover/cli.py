@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .graph import Graph, VertexSet, from_edge_list, gnp_sample, to_edge_list
 from .params import ParamSet, bound_formulas, envelope
+from .rng import MAX_INDEX
 
 SCHEMA_VERSION = 1
 
@@ -93,8 +94,8 @@ def _every(*subs: str) -> set[str]:
 
 class Flag:
     """One CLI flag: the paths that read it, the paths that require it, its
-    smallest accepted value, its two defaults, its help and its other
-    argparse keywords.
+    smallest and largest accepted values, its two defaults, its help and its
+    other argparse keywords.
 
     A subcommand has the flag iff one of its paths reads it.  `default` is
     the flag's value on a subcommand that has it when it is not given (a dict
@@ -104,12 +105,13 @@ class Flag:
     """
 
     def __init__(
-        self, reads, needs=frozenset(), floor=None, default=None, echo=None,
-        help="", **kwargs
+        self, reads, needs=frozenset(), floor=None, ceiling=None, default=None,
+        echo=None, help="", **kwargs
     ):
         self.reads = reads
         self.needs = needs
         self.floor = floor
+        self.ceiling = ceiling
         self.default = default
         self.echo = echo
         self.help = help
@@ -142,6 +144,7 @@ FLAGS = {
     "trials": Flag(
         _every("run") | _TRIALS,
         floor=1,
+        ceiling=MAX_INDEX,  # trial t reads stream index t
         type=int,
         default={"run": 1, "estimate": 10_000},
     ),
@@ -187,7 +190,14 @@ FLAGS = {
     "a": Flag({"bipartite"}, {"bipartite"}, type=int, help="first class size"),
     "b": Flag({"bipartite"}, {"bipartite"}, type=int, help="second class size"),
     "k": Flag(_SETS, _SETS, floor=1, type=int, help="set size"),
-    "index": Flag({"uniform"}, floor=0, type=int, default=0, help="draw index"),
+    "index": Flag(
+        {"uniform"},
+        floor=0,
+        ceiling=MAX_INDEX - 1,
+        type=int,
+        default=0,
+        help="draw index",
+    ),
     "sample_mode": Flag(
         {"uniform"},
         choices=["exact", "rejection"],
@@ -278,6 +288,8 @@ def _validate(parser: argparse.ArgumentParser, given: dict, cfg: RunConfig) -> N
             missing.append(_option(name))
         if flag.floor is not None and value is not None and value < flag.floor:
             parser.error(f"{_option(name)} must be >= {flag.floor}")
+        if flag.ceiling is not None and value is not None and value > flag.ceiling:
+            parser.error(f"{_option(name)} must be <= {flag.ceiling}")
     if missing:
         parser.error(f"{where} requires {' '.join(missing)}")
     for first, second in (("input", "n"), ("k_coef", "epsilon")):

@@ -5,12 +5,12 @@ the packed words: one read-only buffer, rows zero-padded to whole uint64
 words, that `packed_rows` views as bytes and `packed_words` as words.
 `gnp_sample` scatters its edges into them, and `Graph.from_rows` is the one
 place that packs int rows (`from_edge_list` and `complete_bipartite` go
-through it).  Degrees, equality, hashing, pickles (which send the words),
-`has_edge` (one byte), N^c(S) and the numpy paths (codegree scans, degree
-bookkeeping in the process engine) read the words.  The int rows, one
-Python int per vertex with bit v of row u set iff uv is an edge, are a
-per-row cache: `row(v)` builds row v the first time it is read, and the
-big-int set operations of the process step run on it.
+through it).  Degrees, the edge count, equality, hashing, pickles (n and the
+words), `has_edge` (one byte), N^c(S), codegree scans and `row_bits` (0/1
+rows for the process engine) read the words; no other module unpacks them.
+The int rows, one Python int per vertex with bit v of row u set iff uv is
+an edge, are a per-row cache: `row(v)` builds row v the first time it is
+read, and the big-int set operations of the process step run on it.
 
 Graphs are immutable once constructed.  Construct them through
 `gnp_sample`, `complete_bipartite`, `from_edge_list`, or `Graph.from_rows`,
@@ -120,19 +120,18 @@ class Graph:
     Every graph holds one form, the packed words (`packed`, the
     (n, 8 * ceil(n/64)) uint8 buffer `packed_words` views), which the
     constructor marks read-only: `gnp_sample` scatters into them and
-    `from_rows` packs int rows into them.  `==`, `hash`, pickles, degrees
-    and `has_edge` read the words.  The int rows are a per-row cache:
-    `row(v)` builds row v from its words on first read, so a caller that
-    reads a few rows holds only those.
+    `from_rows` packs int rows into them.  `==`, `hash`, pickles, degrees,
+    the edge count, `row_bits` and `has_edge` read the words.  The int rows
+    are a per-row cache: `row(v)` builds row v from its words on first
+    read, so a caller that reads a few rows holds only those.
     """
 
-    __slots__ = ("n", "_rows", "edge_count", "_packed", "_degrees", "_ids")
+    __slots__ = ("n", "_rows", "_packed", "_degrees", "_ids")
 
-    def __init__(self, n: int, packed: np.ndarray, edge_count: int):
+    def __init__(self, n: int, packed: np.ndarray):
         packed.flags.writeable = False
         self.n = n
         self._rows = None  # the row cache, allocated on the first row read
-        self.edge_count = edge_count
         self._packed = packed
         self._degrees = None
         self._ids = None
@@ -147,26 +146,29 @@ class Graph:
         """
         rows = tuple(rows)
         n = len(rows)
-        total = 0
         for v, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            total += row.bit_count()
         w = (n + 63) // 64 * 8
         buf = b"".join(r.to_bytes(w, "little") for r in rows)
-        g = cls(n, np.frombuffer(buf, dtype=np.uint8).reshape(n, w), total // 2)
+        g = cls(n, np.frombuffer(buf, dtype=np.uint8).reshape(n, w))
         packed = g.packed_rows()
         for a in range(0, n, _SYMMETRY_BLOCK):
             b = min(a + _SYMMETRY_BLOCK, n)
-            block = np.unpackbits(packed[a:b], axis=1, count=n, bitorder="little")
+            block = g.row_bits(slice(a, b))
             cols = np.unpackbits(
                 packed[:, a // 8 : (b + 7) // 8], axis=1, bitorder="little"
             )[:, : b - a]
             if not np.array_equal(block, cols.T):
                 raise ValueError("adjacency rows are not symmetric")
         return g
+
+    @property
+    def edge_count(self) -> int:
+        """|E|, half the degree sum, so it is read from the words."""
+        return int(self.degree_array().sum()) // 2
 
     @property
     def full_mask(self) -> int:
@@ -187,9 +189,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.degree_array()[vertex_id(self.n, v)])
-
-    def degrees(self) -> list[int]:
-        return self.degree_array().tolist()
 
     def degree_array(self) -> np.ndarray:
         """Read-only int64 vector of the degrees, popcounts of the packed
@@ -214,6 +213,12 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return VertexSet(self.n, self.row(vertex_id(self.n, v))).to_list()
 
+    def row_bits(self, vertices: np.ndarray | slice) -> np.ndarray:
+        """(len, n) 0/1 uint8 matrix of the rows of `vertices` (indices or a slice)."""
+        return np.unpackbits(
+            self.packed_rows()[vertices], axis=1, count=self.n, bitorder="little"
+        )
+
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8 view of `packed_words`; bit v of row u (little
         order) = adjacency."""
@@ -235,7 +240,7 @@ class Graph:
         return hash((self.n, self._packed.tobytes()))
 
     def __reduce__(self):
-        return (Graph, (self.n, self._packed, self.edge_count))
+        return (Graph, (self.n, self._packed))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -270,15 +275,13 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
     starts = vs * (n - 1) - vs * (vs - 1) // 2
     gen = _rng.stream(seed, _rng.GRAPH)
     total = n * (n - 1) // 2
-    edge_count = 0
     for first in range(0, total, _GNP_BLOCK):
         hit = np.flatnonzero(gen.below(p, min(_GNP_BLOCK, total - first))) + first
         u = np.searchsorted(starts, hit, side="right") - 1
         v = hit - starts[u] + u + 1
         np.bitwise_or.at(packed, (u, v >> 3), np.left_shift(1, v & 7).astype(np.uint8))
         np.bitwise_or.at(packed, (v, u >> 3), np.left_shift(1, u & 7).astype(np.uint8))
-        edge_count += hit.size
-    return Graph(n, packed, edge_count)
+    return Graph(n, packed)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

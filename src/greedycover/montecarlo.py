@@ -274,7 +274,7 @@ def estimate_conditional_chain(
     # an induced degree lies in [0, host degree], so a rail can cut only the
     # vertices above it in the host, or all of them once lower > 0; when it
     # can cut none at any step, the path is "light"
-    degrees = host.degrees()
+    degrees = host.degree_array().tolist()
     rails = []
     for t in range(1, j + 1):
         e = envelope(ps, t)

@@ -8,8 +8,8 @@ with swap-removal for O(1) uniform draws; the light kernels (final set only)
 and the recording engine both call it with a float uniform, so fed the same
 uniforms they make the same choices.  The recording engine also keeps the
 active set as a bit-vector and a numpy degree vector updated incrementally:
-a step gathers the |removed| packed rows that left and unpacks each to n
-bytes, O(|removed| * n) instead of a recomputation from scratch.
+a step reads the |removed| rows that left as 0/1 bytes (`Graph.row_bits`),
+O(|removed| * n) instead of a recomputation from scratch.
 
 `run_draws` holds the one step loop: `run` records one trajectory
 against the analytics envelope, and `increment_diagnostics` derives the
@@ -148,9 +148,7 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
     state.sigma_raw[removed] = i
 
     # degrees[w] -= |N(w) ∩ removed|: right for survivors, stale elsewhere
-    state.degrees -= np.unpackbits(
-        host.packed_rows()[removed], axis=1, count=host.n, bitorder="little"
-    ).sum(axis=0, dtype=np.int64)
+    state.degrees -= host.row_bits(removed).sum(axis=0, dtype=np.int64)
 
     e = envelope(state.ps, i)
     if state.ids:
@@ -344,9 +342,7 @@ def increment_diagnostics(
     sigma = np.array(prun.sigma, dtype=np.int64)
     tv = np.array(tracked, dtype=np.int64)
     nt = len(tracked)
-    nbr = np.unpackbits(
-        host.packed_rows()[tv], axis=1, count=host.n, bitorder="little"
-    ).astype(bool)
+    nbr = host.row_bits(tv).astype(bool)
     t_of, w_of = np.nonzero(nbr)  # tracked index and neighbour of each edge
     d = _survivors(t_of, sigma[w_of], nt, completed)  # d[:, i] = d_i(v)
 
@@ -360,9 +356,7 @@ def increment_diagnostics(
         # toward m_vj while both w and u are active
         closed = nbr.copy()
         closed[np.arange(nt), tv] = True
-        far = np.unpackbits(
-            host.packed_rows()[w_of], axis=1, count=host.n, bitorder="little"
-        ).astype(bool) & ~closed[t_of]
+        far = host.row_bits(w_of).astype(bool) & ~closed[t_of]
         e_of, u_of = np.nonzero(far)
         both = np.minimum(sigma[w_of[e_of]], sigma[u_of])
         m = _survivors(t_of[e_of], both, nt, completed)[:, :completed]
@@ -442,16 +436,18 @@ def chunked_map(fn, args: tuple, trials: int, chunk: int, threads: int) -> list:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _rng.MAX_INDEX:  # trial t reads stream index t
+        raise ValueError(f"trials must be <= {_rng.MAX_INDEX}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    bounds = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    workers = min(threads, len(bounds))
+    starts = range(0, trials, chunk)  # chunk starts, never built as a list
+    workers = min(threads, len(starts))
     if workers > 1 and hasattr(os, "fork"):
-        return _forked_map(fn, args, bounds, workers)
-    return [fn(*args, start, stop) for start, stop in bounds]
+        return _forked_map(fn, args, starts, workers)
+    return [fn(*args, start, min(start + chunk, trials)) for start in starts]
 
 
-def _forked_map(fn, args: tuple, bounds: list, workers: int) -> list:
+def _forked_map(fn, args: tuple, starts: range, workers: int) -> list:
     """chunked_map's pooled branch: one pipe and one forked child per worker.
 
     A worker's exception is raised here: that of the lowest failing chunk,
@@ -471,7 +467,7 @@ def _forked_map(fn, args: tuple, bounds: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, args, bounds, w, workers, pipes, wr)
+                    _work(fn, args, starts, w, workers, pipes, wr)
                 pids.append(pid)
             finally:
                 os.close(wr)
@@ -491,7 +487,7 @@ def _forked_map(fn, args: tuple, bounds: list, workers: int) -> list:
         for pipe in pipes:
             pipe.close()
 
-    results: list = [None] * len(bounds)
+    results: list = [None] * len(starts)
     errors = []
     for w, (pid, data) in enumerate(zip(pids, replies)):
         code = os.waitstatus_to_exitcode(status[pid])
@@ -512,7 +508,7 @@ def _forked_map(fn, args: tuple, bounds: list, workers: int) -> list:
     return results
 
 
-def _work(fn, args, bounds, w, workers, pipes, wr) -> None:
+def _work(fn, args, starts, w, workers, pipes, wr) -> None:
     """A forked worker: run chunks w, w + workers, ..., write one reply to
     `wr` and end with os._exit, never returning into the parent's code.
 
@@ -524,8 +520,8 @@ def _work(fn, args, bounds, w, workers, pipes, wr) -> None:
             pipe.close()
         done = []
         try:
-            for start, stop in bounds[w::workers]:
-                done.append(fn(*args, start, stop))
+            for start in starts[w::workers]:  # starts = range(0, trials, chunk)
+                done.append(fn(*args, start, min(start + starts.step, starts.stop)))
             data = pickle.dumps((None, done), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             data = _error_reply(w + workers * len(done), exc)

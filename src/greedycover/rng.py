@@ -36,7 +36,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
-_MAX_INDEX = 1 << 48
+# Work-unit indices lie in 0..MAX_INDEX - 1, the low 48 bits of key word 1.
+MAX_INDEX = 1 << 48
 
 # Domain codes.  Never reuse or renumber: streams are part of the output
 # contract (same seed must keep producing the same bytes across versions).
@@ -81,10 +82,16 @@ _PHILOX_ROUNDS = 10
 
 
 def _check(domain: int, index: int) -> None:
-    if not 0 <= index < _MAX_INDEX:
+    if not 0 <= index < MAX_INDEX:
         raise ValueError(f"stream index out of range: {index}")
     if not 0 <= domain < (1 << 16):
         raise ValueError(f"domain out of range: {domain}")
+
+
+def _check_rows(domain: int, start: int, stop: int) -> None:
+    _check(domain, start)
+    if stop < start or stop > MAX_INDEX:
+        raise ValueError(f"stream index out of range: {stop}")
 
 
 def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, a, b, c) -> None:
@@ -304,9 +311,7 @@ def stream(seed: int, domain: int, index: int = 0) -> Stream:
 def uniform_rows(seed: int, domain: int, start: int, stop: int, k: int) -> np.ndarray:
     """Rows t = start..stop-1 of `stream(seed, domain, t).random(k)`, one
     kernel evaluation, as a (stop - start, k) float64 array."""
-    _check(domain, start)
-    if stop < start or stop > _MAX_INDEX:
-        raise ValueError(f"stream index out of range: {stop}")
+    _check_rows(domain, start, stop)
     if k < 0:
         raise ValueError("k must be >= 0")
     trials, blocks = stop - start, -(-k // 4)
@@ -323,7 +328,9 @@ def trial_rows(
 
     Rows are evaluated BLOCK_COUNTERS counters at a time, a block only when
     the consumer reaches it, so an adaptive loop may stop at any trial.
+    The whole range is checked before the first row.
     """
+    _check_rows(domain, start, stop)
     step = max(BLOCK_COUNTERS // max(-(-k // 4), 1), 1)
     for lo in range(start, stop, step):
         yield from uniform_rows(seed, domain, lo, min(lo + step, stop), k)

@@ -34,6 +34,7 @@ from .params import ParamSet, check_host_n, error_f
 from .process import run_with_generator
 
 P3_EXHAUSTIVE_LIMIT = 20000
+P3_PAIR_SAMPLE = 2_000_000
 # Bytes of packed rows one P3 step ANDs per operand (512 rows at n = 2000).
 P3_CHUNK_BYTES = 1 << 17
 
@@ -133,12 +134,11 @@ def check_p3(
     ps: ParamSet,
     strict_factor: float = 1.0,
     seed: int = 0,
-    pair_sample: int = 2_000_000,
 ) -> P3Fragment:
     """Codegree check codeg(u,v) <= delta2 over unordered pairs.
 
     Exhaustive through n = 20000; above that a seeded sample of
-    `pair_sample` pairs is scanned and the fragment is flagged "sampled".
+    P3_PAIR_SAMPLE pairs is scanned and the fragment is flagged "sampled".
     Either way each step ANDs at most P3_CHUNK_BYTES of packed rows per
     operand, so beyond the host's own rows the working memory is a few
     P3_CHUNK_BYTES (plus, sampled, the drawn pair indices).
@@ -175,14 +175,12 @@ def check_p3(
                 fold(row & words[a : a + slab], lambda off: (u, a + off))
     else:
         mode = "sampled"
-        if pair_sample < 1:
-            raise ValueError("pair_sample must be >= 1")
         gen = _rng.stream(seed, _rng.P3_SAMPLE)
-        us = gen.integers(0, g.n, size=pair_sample)
-        vs = gen.integers(0, g.n - 1, size=pair_sample)
+        pairs = P3_PAIR_SAMPLE
+        us = gen.integers(0, g.n, size=pairs)
+        vs = gen.integers(0, g.n - 1, size=pairs)
         vs += vs >= us  # uniform over ordered pairs, u != v
-        pairs = pair_sample
-        for a in range(0, pair_sample, slab):
+        for a in range(0, pairs, slab):
             cu, cv = us[a : a + slab], vs[a : a + slab]
             fold(
                 words[cu] & words[cv],

@@ -151,6 +151,12 @@ class TestParse:
             CHAIN[:9] + ["--i", "3", "--j", "3", "--u", "0", "--v", "1"],
             CHAIN[:9] + ["--i", "1", "--j", "3", "--u", "2", "--v", "2"],
             CHAIN[:9] + ["--i", "1", "--j", "3", "--u", "-1", "--v", "1"],
+            # stream indices past 2**48 - 1: trial t reads index t
+            UNIFORM + ["--index", str(2**48)],
+            ["run", "--n", "30", "--p", "0.2", "--trials", str(2**48 + 1),
+             "--threads", "1"],
+            BIPARTITE + ["--trials", str(2**48 + 1)],
+            MEMBERSHIP[:-1] + [str(2**48 + 1)],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -161,6 +167,11 @@ class TestParse:
     @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN, UNIFORM, MEMBERSHIP])
     def test_path_flags_at_defaults_are_accepted(self, argv):
         assert parse_args(argv).subcommand == "estimate"
+
+    def test_last_stream_index_accepted(self):
+        # parsed only: a run of 2**48 trials would not end
+        assert parse_args(UNIFORM + ["--index", str(2**48 - 1)]).index == 2**48 - 1
+        assert parse_args(BIPARTITE + ["--trials", str(2**48)]).trials == 2**48
 
     @pytest.mark.parametrize("argv", [BIPARTITE, CHAIN], ids=["bipartite", "chain"])
     def test_threads_accepted_by_every_trial_estimator(self, argv):

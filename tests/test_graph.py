@@ -527,7 +527,7 @@ class TestPackedRows:
             return g.packed_words().tobytes()
 
         def degrees(g):
-            return g.degrees(), g.degree_array().tolist(), [g.degree(v) for v in range(n)]
+            return g.degree_array().tolist(), [g.degree(v) for v in range(n)], g.edge_count
 
         def edges(g):
             return [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
@@ -549,7 +549,8 @@ class TestPackedRows:
             assert got == want and h == g
         width = (n + 63) // 64 * 8
         assert want["words"] == b"".join(r.to_bytes(width, "little") for r in want["rows"])
-        assert want["degrees"] == ([r.bit_count() for r in want["rows"]],) * 3
+        popcounts = [r.bit_count() for r in want["rows"]]
+        assert want["degrees"] == (popcounts, popcounts, sum(popcounts) // 2)
         assert want["edges"] == [[(r >> v) & 1 == 1 for v in range(n)] for r in want["rows"]]
         assert want["neighbors"] == [list(bits(r)) for r in want["rows"]]
         # the same graph built from int rows equals it, hash and pickle included
@@ -560,7 +561,7 @@ class TestPackedRows:
     @pytest.mark.parametrize("n", [1, 65])
     def test_gnp_host_builds_rows_only_when_one_is_read(self, n):
         g = gnp_sample(n, 0.3, 1)
-        g.packed_rows(), g.degrees(), g.degree_array(), g.degree(0)
+        g.packed_rows(), g.edge_count, g.degree_array(), g.degree(0), g.row_bits([0])
         assert not holds_rows(g)
         row = g.row(0)
         assert holds_rows(g) and built_rows(g) == [0] and g.row(0) is row
@@ -578,7 +579,8 @@ class TestPackedRows:
         assert g == h and hash(g) == hash(h)
         back = pickle.loads(pickle.dumps(g))
         assert back == h and not back.packed_words().flags.writeable
-        g.degree_array(), g.degrees(), g.degree(5), g.packed_rows(), g.packed_words()
+        g.degree_array(), g.edge_count, g.degree(5), g.packed_rows(), g.packed_words()
+        g.row_bits(np.arange(130)), g.row_bits(slice(64, 130))
         g.has_edge(0, 129), g.has_edge(129, 64)
         common_non_neighbourhood(g, VertexSet.from_iterable(130, [0, 64, 129]))
         assert not holds_rows(g) and not holds_rows(h) and not holds_rows(back)
@@ -620,10 +622,35 @@ class TestPackedRows:
         assert not holds_rows(g)
 
     def test_degree_sum_matches_edge_count(self):
-        g = gnp_sample(64, 0.5, 9)
-        assert sum(g.degrees()) == 2 * g.edge_count
-        counts = np.bitwise_count(g.packed_rows()).sum()
-        assert int(counts) == 2 * g.edge_count
+        # the count is read from the words, so it is checked against counts
+        # taken without them: the oracle's edge draws and an edge list's m
+        for n, p, seed in ((64, 0.5, 9), (200, 0.05, 2)):
+            gen = numpy_stream(seed, grng.GRAPH)
+            hits = int((gen.random(n * (n - 1) // 2) < p).sum())
+            assert gnp_sample(n, p, seed).edge_count == hits
+        text = "7 5\n0 1\n0 6\n2 3\n3 6\n4 5\n"
+        g = from_edge_list(text)
+        assert g.edge_count == 5 and to_edge_list(g) == text
+        assert from_edge_list("0 0\n").edge_count == 0
+        assert complete_bipartite(3, 5).edge_count == 15
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+    def test_row_bits_against_has_edge(self, make, n):
+        g = make(n)
+        want = np.array(
+            [[g.has_edge(u, v) for v in range(n)] for u in range(n)], dtype=np.uint8
+        ).reshape(n, n)
+        everyone = g.row_bits(np.arange(n))
+        assert everyone.dtype == np.uint8 and everyone.shape == (n, n)
+        np.testing.assert_array_equal(everyone, want)
+        rng = np.random.Generator(np.random.Philox(key=n))
+        picks = rng.integers(0, max(n, 1), size=2 * n)  # repeats, any order
+        np.testing.assert_array_equal(g.row_bits(picks), want[picks])
+        assert g.row_bits(np.zeros(0, dtype=np.int64)).shape == (0, n)
+        for a, b in ((0, n), (n // 3, n), (1, n // 2), (n, n)):
+            np.testing.assert_array_equal(g.row_bits(slice(a, b)), want[a:b])
+        assert not holds_rows(g)
 
     def test_degree_array_cached_read_only_unpickled(self):
         import pickle
@@ -631,7 +658,8 @@ class TestPackedRows:
         g = gnp_sample(45, 0.3, 8)
         sent = pickle.dumps(g)
         degs = g.degree_array()
-        assert degs.dtype == np.int64 and degs.tolist() == g.degrees()
+        assert degs.dtype == np.int64
+        assert degs.tolist() == [g.row(v).bit_count() for v in range(g.n)]
         assert g.degree_array() is degs and not degs.flags.writeable
         assert pickle.dumps(g) == sent
 
@@ -642,6 +670,10 @@ def test_pickle_roundtrip():
     g = gnp_sample(25, 0.3, 6)
     h = pickle.loads(pickle.dumps(g))
     assert h == g and h.edge_count == g.edge_count
+    # the pickle holds n and the words only: the edge count is read from them
+    make, args = g.__reduce__()
+    assert make is Graph and len(args) == 2
+    assert args[0] == 25 and args[1] is g._packed
 
 
 def test_stream_domain_separation():

@@ -13,6 +13,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,6 +598,69 @@ def _pid_span(start, stop):
     return os.getpid(), start, stop
 
 
+class _FirstChunk(Exception):
+    pass
+
+
+def _first_chunk(start, stop):
+    raise _FirstChunk(start, stop)
+
+
+def _past_the_stream_range():
+    """chunked_map's message for 2**48 + 1 trials and the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        chunked_map(_span, (), trials=2**48 + 1, chunk=32, threads=2)
+    except ValueError as exc:
+        return str(exc), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _start_of_the_whole_range():
+    """The first chunk chunked_map runs of 2**48 trials, the most it takes."""
+    try:
+        chunked_map(_first_chunk, (), trials=2**48, chunk=32, threads=1)
+    except _FirstChunk as exc:
+        return list(exc.args)
+
+
+def _in_capped_child(call, headroom=1 << 28):
+    """call()'s JSON result, or [type, message] of what it raised, from a
+    forked child whose address space may grow by `headroom` bytes only, so
+    a call that allocates without bound ends in MemoryError, not in the
+    machine's memory running out."""
+    import resource
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open("/proc/self/status") as fh:
+                size = next(int(x.split()[1]) << 10 for x in fh if x.startswith("VmSize:"))
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = size + headroom
+            if hard != resource.RLIM_INFINITY:
+                soft = min(soft, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+            try:
+                out = call()
+            except Exception as exc:
+                out = [type(exc).__name__, str(exc)]
+            with open(w, "w") as pipe:
+                pipe.write(json.dumps(out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with open(r) as pipe:
+        got = pipe.read()
+    os.waitpid(pid, 0)
+    return json.loads(got)
+
+
 @contextlib.contextmanager
 def _alarm(seconds, exc):
     """Raise `exc` in the test if the block is still running after `seconds`."""
@@ -686,6 +750,17 @@ class TestChunkedMap:
         assert min(len(r) for r in pooled) >= 1 << 20
         assert pooled == chunked_map(_megabytes, (), trials=6, chunk=1, threads=1)
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
+    )
+    def test_trial_counts_past_the_stream_range_fail_at_once(self):
+        # trial t reads stream index t < 2**48.  Past that the call fails
+        # before it allocates; at 2**48 the first chunk starts at once, as the
+        # chunk starts are a range, never a list of 2**43 bounds
+        msg, peak = _in_capped_child(_past_the_stream_range)
+        assert msg == "trials must be <= 281474976710656" and peak < 10_000
+        assert _in_capped_child(_start_of_the_whole_range) == [0, 32]
+
     def test_runs_in_process_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         here = os.getpid()
@@ -701,7 +776,7 @@ class TestStateSurface:
         state = init(host, ps)
         assert state.step == 0
         assert set(state.active) == set(range(9))
-        assert list(state.degrees) == host.degrees()
+        assert list(state.degrees) == [5] * 4 + [4] * 5
         rec = step(state, 0.5 / 9)  # picks vertex 0 (side A)
         assert rec.chosen_vertex == 0
         # side B gone, side A survivors isolated

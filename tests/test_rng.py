@@ -103,6 +103,16 @@ class TestTrialRows:
             np.array(rows), rng.uniform_rows(2**63, rng.MEMBERSHIP, start, stop, k)
         )
 
+    @pytest.mark.parametrize(
+        "start,stop", [(0, 2**48 + 1), (2**48 - 5, 2**48 + 3), (5, 4), (-1, 3)]
+    )
+    def test_range_checked_before_the_first_row(self, start, stop):
+        # an adaptive cover's cap past the stream range used to run (and grow
+        # its cover) until a block reached index 2**48
+        rows = rng.trial_rows(9, rng.COVER_FLAT, start, stop, 4)
+        with pytest.raises(ValueError, match="stream index out of range"):
+            next(rows)
+
     def test_rows_are_evaluated_only_when_reached(self):
         # adaptive builders pass a cap far beyond the rows they consume
         rows = rng.trial_rows(9, rng.COVER_FLAT, 0, 2**48, 4)

@@ -183,10 +183,11 @@ class TestP3:
         assert frag.max_codegree == counts[-1]
         assert frag.pairs_tested == len(codeg)
 
-    def test_sampled_mode_beyond_limit(self):
+    def test_sampled_mode_beyond_limit(self, monkeypatch):
+        monkeypatch.setattr(typicality, "P3_PAIR_SAMPLE", 5000)
         n = 20001
         g = Graph.from_rows([0] * n)
-        frag = check_p3(g, ParamSet(n, 0.001), pair_sample=5000)
+        frag = check_p3(g, ParamSet(n, 0.001))
         assert frag.mode == "sampled"
         assert frag.pairs_tested == 5000
         assert frag.max_codegree == 0 and frag.violations == []
@@ -199,10 +200,11 @@ class TestP3:
         # checks almost every pair
         monkeypatch.setattr(typicality, "P3_EXHAUSTIVE_LIMIT", 50)
         monkeypatch.setattr(typicality, "P3_CHUNK_BYTES", 64)
+        monkeypatch.setattr(typicality, "P3_PAIR_SAMPLE", 3001)
         g = gnp_sample(120, 0.3, seed=4)
         ps = ParamSet(120, 0.3)
         factor = 0.001
-        frag = check_p3(g, ps, strict_factor=factor, seed=6, pair_sample=3001)
+        frag = check_p3(g, ps, strict_factor=factor, seed=6)
         gen = numpy_stream(6, rng.P3_SAMPLE)
         us = gen.integers(0, 120, size=3001)
         vs = gen.integers(0, 119, size=3001)
@@ -217,23 +219,17 @@ class TestP3:
         assert frag.violations == want
         assert frag.max_codegree == max(c[2] for c in counts)
 
-    @pytest.mark.parametrize("pair_sample", [0, -3])
-    def test_sampled_mode_needs_a_pair(self, monkeypatch, pair_sample):
-        monkeypatch.setattr(typicality, "P3_EXHAUSTIVE_LIMIT", 50)
-        g = gnp_sample(60, 0.3, seed=4)
-        with pytest.raises(ValueError, match="pair_sample must be >= 1"):
-            check_p3(g, ParamSet(60, 0.3), pair_sample=pair_sample)
-
-    def test_sampled_mode_memory_is_bounded(self):
+    def test_sampled_mode_memory_is_bounded(self, monkeypatch):
         # 20000 pairs of 2504-byte rows: gathering both operands at once
         # would take 100 MB; 0.88 MB was measured: the drawn pairs' indices
         # (0.32 MB) and one slab's gathered rows, AND and popcounts
         n = 20001
+        monkeypatch.setattr(typicality, "P3_PAIR_SAMPLE", 20000)
         g = complete_bipartite(10000, 10001)
         g.packed_rows()  # the host's own rows are not the check's memory
         tracemalloc.start()
         try:
-            frag = check_p3(g, ParamSet(n, 0.5), seed=3, pair_sample=20000)
+            frag = check_p3(g, ParamSet(n, 0.5), seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
