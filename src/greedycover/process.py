@@ -143,7 +143,7 @@ def step(state: ProcessState, u: float) -> StepRecord | None:
     state.active_mask &= ~rm_mask
     state.chosen_list.append(v)
     state.step = i
-    # as indices: gathering packed rows by index is cheaper than by boolean mask
+    # as indices: row_bits gathers rows by index faster than by boolean mask
     removed = np.flatnonzero(mask_bits(rm_mask, host.n))
     state.sigma_raw[removed] = i
 
